@@ -25,13 +25,13 @@ bench:
 	$(GO) test -bench=. -benchmem .
 
 # bench-crypto compares the provider-side cost of one confirmed
-# transaction under each crypto profile (RSA, Ed25519, batched Ed25519)
-# against the attested-session HMAC fast path, then runs the F16
+# transaction under each crypto profile (RSA, Ed25519) against the
+# attested-session HMAC fast path, then runs the F16
 # scheme × re-quote-interval sweep itself (CI-sized: 400 confirms per
 # cell, a few seconds of wall time) so the speedup and crossover
 # verdicts are checked, not just the micro-numbers behind them.
 bench-crypto:
-	$(GO) test -bench='BenchmarkConfirm(RSA|Ed25519|Ed25519Batch|SessionHMAC)$$' -benchmem -run xxx .
+	$(GO) test -bench='BenchmarkConfirm(RSA|Ed25519|SessionHMAC)$$' -benchmem -run xxx .
 	$(GO) run ./cmd/tpbench -exp f16
 
 # bench-smoke runs every benchmark exactly once — not for numbers, but

@@ -9,7 +9,6 @@ package unitp_test
 
 import (
 	"fmt"
-	"sync/atomic"
 	"testing"
 
 	"unitp/internal/attest"
@@ -149,23 +148,6 @@ func benchConfirmQuote(b *testing.B, schemeName string) {
 func BenchmarkConfirmRSA(b *testing.B) { benchConfirmQuote(b, "rsa") }
 
 func BenchmarkConfirmEd25519(b *testing.B) { benchConfirmQuote(b, "ed25519") }
-
-// BenchmarkConfirmEd25519Batch drains concurrently: the batch verifier
-// only amortizes when requests are in flight together, exactly as a
-// loaded provider sees them.
-func BenchmarkConfirmEd25519Batch(b *testing.B) {
-	f := newBenchCryptoFixture(b, "ed25519-batch")
-	frames := f.mintQuoteConfirms(b, b.N)
-	var next atomic.Int64
-	b.SetParallelism(8)
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			i := int(next.Add(1)) - 1
-			f.drainAccepted(b, frames[i])
-		}
-	})
-}
 
 // BenchmarkConfirmSessionHMAC measures the re-confirmation fast path:
 // one attested session opened outside the timed window, then each

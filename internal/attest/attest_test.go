@@ -129,6 +129,14 @@ func TestCertifySchemeRefusesMismatchedAIKKey(t *testing.T) {
 	if _, err := f.ca.CertifyAIKScheme("platform-1", ek, cryptoutil.SchemeRSA, make([]byte, 32)); err == nil {
 		t.Fatal("rsa certify accepted 32 raw bytes as a PKCS#1 key")
 	}
+	// The retired batch profile (wire ID 2) resolves neither by name
+	// nor by ID.
+	if _, err := cryptoutil.SchemeByName("ed25519-batch"); !errors.Is(err, cryptoutil.ErrUnknownScheme) {
+		t.Fatalf("ed25519-batch resolved: %v", err)
+	}
+	if _, err := cryptoutil.SchemeByID(2); !errors.Is(err, cryptoutil.ErrUnknownScheme) {
+		t.Fatalf("scheme ID 2 resolved: %v", err)
+	}
 	// The matched shape still certifies.
 	sch, err := cryptoutil.SchemeByID(cryptoutil.SchemeEd25519)
 	if err != nil {

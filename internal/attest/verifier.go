@@ -197,10 +197,9 @@ type Verifier struct {
 	// after construction-time SetScheme.
 	scheme cryptoutil.Scheme
 
-	// sigVerify, when set, replaces the inline quote signature check.
-	// The provider installs a cohort batcher here for batch-capable
-	// schemes; the hook receives the scheme-encoded AIK public key,
-	// the serialized TPM_QUOTE_INFO, and the signature.
+	// sigVerify, when set, replaces the inline quote signature check
+	// (e.g. a timing wrapper); the hook receives the scheme-encoded AIK
+	// public key, the serialized TPM_QUOTE_INFO, and the signature.
 	sigVerify func(pub, msg, sig []byte) error
 
 	mu     sync.Mutex // serializes mutators; readers use policy only
@@ -246,7 +245,7 @@ func (v *Verifier) SchemeID() cryptoutil.SchemeID {
 }
 
 // SetQuoteSigVerifier installs a replacement for the inline quote
-// signature check (e.g. a cohort batch verifier). Call at construction
+// signature check (e.g. a wrapper that times it). Call at construction
 // time. The hook must be safe for concurrent use and must return nil
 // only when the signature verifies.
 func (v *Verifier) SetQuoteSigVerifier(f func(pub, msg, sig []byte) error) {

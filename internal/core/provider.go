@@ -285,8 +285,7 @@ type ProviderConfig struct {
 
 	// Scheme selects the quote-signature crypto profile (nil = the
 	// paper-faithful RSA/SHA-1 profile, byte-identical to the
-	// pre-scheme code path). Batch-capable schemes additionally get a
-	// cohort signature batcher installed on the verifier.
+	// pre-scheme code path).
 	Scheme cryptoutil.Scheme
 
 	// SessionMaxTx caps how many transactions one attested session may
@@ -367,10 +366,8 @@ type Provider struct {
 	kexKey      *ecdh.PrivateKey
 
 	// Crypto profile (see internal/cryptoutil). scheme is nil for the
-	// paper-faithful RSA profile; sigbatch is non-nil only for
-	// batch-capable schemes (cohort signature verification).
-	scheme   cryptoutil.Scheme
-	sigbatch *sigBatcher
+	// paper-faithful RSA profile.
+	scheme cryptoutil.Scheme
 
 	// Durability (see durable.go). stateMu serializes the state
 	// transition while a store is attached, so WAL order equals mutation
@@ -540,10 +537,6 @@ func NewProvider(cfg ProviderConfig) *Provider {
 	if cfg.Scheme != nil {
 		p.scheme = cfg.Scheme
 		p.verifier.SetScheme(cfg.Scheme)
-		if bv, ok := cryptoutil.BatchCapable(cfg.Scheme); ok {
-			p.sigbatch = newSigBatcher(bv)
-			p.verifier.SetQuoteSigVerifier(p.sigbatch.verify)
-		}
 	}
 	p.commit.init()
 	p.resolveInstruments()

@@ -363,21 +363,6 @@ func (p *Provider) LiveSessions() int {
 // verifies (the value negotiated in session and fleet handshakes).
 func (p *Provider) SchemeID() cryptoutil.SchemeID { return p.verifier.SchemeID() }
 
-// SessionPolicy reports the enforced re-quote policy.
-func (p *Provider) SessionPolicy() (maxTx uint32, maxAge time.Duration) {
-	return p.sessMaxTx, p.sessMaxAge
-}
-
-// SigBatchStats reports the cohort signature batcher's counters
-// (cohorts cut, signatures verified through them). Zero when the
-// scheme is not batch-capable.
-func (p *Provider) SigBatchStats() (cohorts, sigs uint64) {
-	if p.sigbatch == nil {
-		return 0, 0
-	}
-	return p.sigbatch.stats()
-}
-
 // preSessionProve mirrors sessionOpenOutcome's crypto: evidence
 // verification against the session binding, then the X25519 derivation
 // of the shared session key. Pure computation, run by the parallel

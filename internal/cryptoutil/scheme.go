@@ -8,8 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
-	"sync"
 )
 
 // Pluggable crypto backends. The attestation signature algorithm — what
@@ -17,8 +15,7 @@ import (
 // narrow Scheme interface below (mirroring the CryptoProvider pattern of
 // consensus clients: a handful of verbs, swappable backends). The
 // paper-faithful profile is RSA-2048 with SHA-1 digests (TPM v1.2); an
-// Ed25519 profile and an Ed25519 batch-verification profile sit next to
-// it. Everything above this file — the TPM quote code, the attestation
+// Ed25519 profile sits next to it. Everything above this file — the TPM quote code, the attestation
 // verifier, the provider — dispatches through a Scheme and never names
 // an algorithm.
 //
@@ -40,12 +37,6 @@ const (
 
 	// SchemeEd25519 signs quotes with Ed25519 (RFC 8032).
 	SchemeEd25519 SchemeID = 1
-
-	// SchemeEd25519Batch is Ed25519 with cohort batch verification:
-	// the provider collects concurrently in-flight quote signatures
-	// (the same yield-before-cut cohort discipline as WAL group
-	// commit) and verifies each cohort in one VerifyBatch call.
-	SchemeEd25519Batch SchemeID = 2
 )
 
 // String names the profile for flags, tables, and handshake errors.
@@ -55,8 +46,6 @@ func (id SchemeID) String() string {
 		return "rsa"
 	case SchemeEd25519:
 		return "ed25519"
-	case SchemeEd25519Batch:
-		return "ed25519-batch"
 	default:
 		return fmt.Sprintf("scheme(%d)", uint8(id))
 	}
@@ -107,14 +96,6 @@ type Scheme interface {
 	// instead of obtaining a certificate every later quote verification
 	// rejects.
 	CheckPublicKey(pub []byte) error
-}
-
-// BatchVerifier is implemented by schemes that can verify a whole
-// cohort of signatures in one call. Verdicts are per-item and
-// positionally aligned with the inputs, so a failing item is attributed
-// without re-verifying the cohort.
-type BatchVerifier interface {
-	VerifyBatch(pubs, msgs, sigs [][]byte) []error
 }
 
 // --- RSA (paper-faithful TPM v1.2 profile) ---
@@ -180,14 +161,11 @@ func (rsaScheme) Verify(pub, msg, sig []byte) error {
 
 // --- Ed25519 ---
 
-type ed25519Scheme struct{ batch bool }
+type ed25519Scheme struct{}
 
-type ed25519Signer struct {
-	priv ed25519.PrivateKey
-	id   SchemeID
-}
+type ed25519Signer struct{ priv ed25519.PrivateKey }
 
-func (s *ed25519Signer) Scheme() SchemeID { return s.id }
+func (s *ed25519Signer) Scheme() SchemeID { return SchemeEd25519 }
 func (s *ed25519Signer) Public() []byte {
 	return []byte(s.priv.Public().(ed25519.PublicKey))
 }
@@ -196,21 +174,15 @@ func (s *ed25519Signer) Sign(_ io.Reader, msg []byte) ([]byte, error) {
 	return ed25519.Sign(s.priv, msg), nil
 }
 
-func (sch ed25519Scheme) ID() SchemeID {
-	if sch.batch {
-		return SchemeEd25519Batch
-	}
-	return SchemeEd25519
-}
+func (ed25519Scheme) ID() SchemeID { return SchemeEd25519 }
+func (ed25519Scheme) Name() string { return "ed25519" }
 
-func (sch ed25519Scheme) Name() string { return sch.ID().String() }
-
-func (sch ed25519Scheme) GenerateKey(random io.Reader) (Signer, error) {
+func (ed25519Scheme) GenerateKey(random io.Reader) (Signer, error) {
 	_, priv, err := ed25519.GenerateKey(random)
 	if err != nil {
 		return nil, fmt.Errorf("cryptoutil: ed25519 keygen: %w", err)
 	}
-	return &ed25519Signer{priv: priv, id: sch.ID()}, nil
+	return &ed25519Signer{priv: priv}, nil
 }
 
 func (sch ed25519Scheme) CheckPublicKey(pub []byte) error {
@@ -231,71 +203,11 @@ func (ed25519Scheme) Verify(pub, msg, sig []byte) error {
 	return nil
 }
 
-// VerifyBatch verifies a cohort of Ed25519 signatures in one call,
-// deduplicating repeated (pub, msg, sig) triples (retransmissions) and
-// fanning the distinct items across cores. Without curve-level
-// multi-scalar multiplication (which would need an external Edwards
-// arithmetic package this repo deliberately avoids) per-item cost
-// matches single verification; the batch entry point is what the
-// provider's cohort collector calls, and a true MSM backend drops in
-// behind it without touching any caller.
-func (sch ed25519Scheme) VerifyBatch(pubs, msgs, sigs [][]byte) []error {
-	n := len(pubs)
-	verdicts := make([]error, n)
-	type slot struct{ first int }
-	seen := make(map[string]slot, n)
-	dupOf := make([]int, n)
-	distinct := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		key := string(pubs[i]) + "\x00" + string(msgs[i]) + "\x00" + string(sigs[i])
-		if s, ok := seen[key]; ok {
-			dupOf[i] = s.first
-			continue
-		}
-		seen[key] = slot{first: i}
-		dupOf[i] = i
-		distinct = append(distinct, i)
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(distinct) {
-		workers = len(distinct)
-	}
-	if workers <= 1 {
-		for _, i := range distinct {
-			verdicts[i] = sch.Verify(pubs[i], msgs[i], sigs[i])
-		}
-	} else {
-		var wg sync.WaitGroup
-		ch := make(chan int, len(distinct))
-		for _, i := range distinct {
-			ch <- i
-		}
-		close(ch)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range ch {
-					verdicts[i] = sch.Verify(pubs[i], msgs[i], sigs[i])
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	for i := 0; i < n; i++ {
-		if dupOf[i] != i {
-			verdicts[i] = verdicts[dupOf[i]]
-		}
-	}
-	return verdicts
-}
-
 // --- Registry ---
 
 var schemes = map[SchemeID]Scheme{
-	SchemeRSA:          rsaScheme{},
-	SchemeEd25519:      ed25519Scheme{batch: false},
-	SchemeEd25519Batch: ed25519Scheme{batch: true},
+	SchemeRSA:     rsaScheme{},
+	SchemeEd25519: ed25519Scheme{},
 }
 
 // SchemeByID resolves a profile by wire identifier.
@@ -307,8 +219,7 @@ func SchemeByID(id SchemeID) (Scheme, error) {
 	return s, nil
 }
 
-// SchemeByName resolves a profile by flag name (rsa, ed25519,
-// ed25519-batch).
+// SchemeByName resolves a profile by flag name (rsa, ed25519).
 func SchemeByName(name string) (Scheme, error) {
 	for _, s := range schemes {
 		if s.Name() == name {
@@ -320,12 +231,5 @@ func SchemeByName(name string) (Scheme, error) {
 
 // SchemeNames lists the registered profile names (for flag help).
 func SchemeNames() []string {
-	return []string{"rsa", "ed25519", "ed25519-batch"}
-}
-
-// BatchCapable reports whether a scheme supports cohort verification,
-// returning the batch entry point when it does.
-func BatchCapable(s Scheme) (BatchVerifier, bool) {
-	bv, ok := s.(BatchVerifier)
-	return bv, ok
+	return []string{"rsa", "ed25519"}
 }

@@ -13,6 +13,7 @@ import (
 	"unitp/internal/fleet"
 	"unitp/internal/metrics"
 	"unitp/internal/obs"
+	"unitp/internal/oracle"
 	"unitp/internal/sim"
 	"unitp/internal/store"
 	"unitp/internal/workload"
@@ -25,10 +26,10 @@ import (
 //     storage and a virtual clock, driven sequentially while the fault
 //     plan kills the busy shard's primary before shipping, after
 //     shipping, partitions its replication link, or slows its follower.
-//     The oracle is fleet-wide exactly-once: every client-accepted
+//     internal/oracle audits the fleet: every client-accepted
 //     transaction appears in exactly one shard's ledger exactly once,
-//     balances conserve per shard, and every audit chain verifies and
-//     replays.
+//     every shard's balances match its replayed history, and every
+//     audit log replays.
 //
 //   - F13b, shard scaling: a deterministic model arm drives the real
 //     router and replication path, then prices each shard's observed
@@ -158,68 +159,9 @@ func runF13MatrixCell(seed uint64, c f13MatrixCase, txs int) (*f13Cell, error) {
 	if cell.Failovers != c.wantFailovers {
 		return nil, fmt.Errorf("f13: %s: %d failovers, want %d", c.name, cell.Failovers, c.wantFailovers)
 	}
-	cell.Violations = f13FleetViolations(d, accepted)
+	cell.Violations = len(oracle.Check(primaries(d.Router), workload.DefaultAccounts(), accepted).Errors)
 	cell.Stats = plan.Stats()
 	return cell, nil
-}
-
-// f13FleetViolations audits the whole fleet against the client-visible
-// acceptances: fleet-wide exactly-once, per-shard balance conservation,
-// and per-shard audit-chain integrity (structural verify plus full
-// auditor replay).
-func f13FleetViolations(d *workload.FleetDeployment, accepted map[string]int64) int {
-	violations := 0
-	initial := map[string]int64{"alice": 1_000_000, "bob": 0, "mallory": 0}
-	seen := map[string]int{}
-	var debited int64
-
-	for _, sh := range d.Router.Shards() {
-		p := sh.Primary()
-		for _, tx := range p.Ledger().History() {
-			seen[tx.ID]++
-			if _, ok := accepted[tx.ID]; !ok {
-				violations++ // executed without a reported acceptance
-			}
-		}
-		// Per-shard conservation: transfers are internal to one ledger.
-		var sum, want int64
-		for name, cents := range initial {
-			bal, err := p.Ledger().Balance(name)
-			if err != nil {
-				violations++
-				continue
-			}
-			sum += bal
-			want += cents
-		}
-		if sum != want {
-			violations++ // money created or destroyed
-		}
-		entries := p.AuditLog().Entries()
-		if core.VerifyAuditChain(entries) != nil {
-			violations++
-		}
-		if _, err := core.ReplayAudit(entries, p.Verifier()); err != nil {
-			violations++
-		}
-	}
-	for id, amount := range accepted {
-		switch seen[id] {
-		case 1:
-			debited += amount
-		case 0:
-			violations++ // lost: accepted but nowhere executed
-		default:
-			violations++ // doubled: executed more than once fleet-wide
-		}
-	}
-	// All debits ride alice's home shard; her balance there must account
-	// for exactly the accepted total.
-	home := d.Router.Shards()[d.Router.ShardFor("alice")].Primary()
-	if bal, err := home.Ledger().Balance("alice"); err != nil || bal != 1_000_000-debited {
-		violations++
-	}
-	return violations
 }
 
 // f13Matrix runs the deterministic kill matrix.
@@ -252,6 +194,7 @@ func f13Matrix(txs int) (string, int, error) {
 type f13Fleet struct {
 	router  *fleet.Router
 	reg     *obs.Registry
+	opening map[string]int64 // every shard's opening balances
 	baseDir string
 }
 
@@ -285,9 +228,11 @@ func newF13Fleet(shards, followers int, homed [][]string, plan *faults.FleetPlan
 		}
 		baseDir = dir
 	}
-	all := []string{"sink"}
+	opening := map[string]int64{"sink": 1 << 40}
 	for _, names := range homed {
-		all = append(all, names...)
+		for _, name := range names {
+			opening[name] = 1 << 40
+		}
 	}
 	reg := obs.NewRegistry()
 	shardList := make([]*fleet.Shard, 0, shards)
@@ -303,8 +248,8 @@ func newF13Fleet(shards, followers int, homed [][]string, plan *faults.FleetPlan
 			pc.Epoch = epoch
 			pc.Random = sim.NewRand(seedFor(tag, s*100+int(epoch)))
 			p := core.NewProvider(pc)
-			for _, name := range all {
-				if err := p.Ledger().CreateAccount(name, 1<<40); err != nil {
+			for name, cents := range opening {
+				if err := p.Ledger().CreateAccount(name, cents); err != nil {
 					return nil, err
 				}
 			}
@@ -341,6 +286,7 @@ func newF13Fleet(shards, followers int, homed [][]string, plan *faults.FleetPlan
 	return &f13Fleet{
 		router:  fleet.NewRouter(shardList, 0, reg),
 		reg:     reg,
+		opening: opening,
 		baseDir: baseDir,
 	}, nil
 }
@@ -443,60 +389,22 @@ func f13Drain(router *fleet.Router, frames [][][]byte) (float64, int, error) {
 	return float64(total) / elapsed.Seconds(), accepted, nil
 }
 
-// f13LeanViolations audits the lean fleet: every drained transaction ID
-// executed exactly once fleet-wide, per-shard balance conservation, and
-// per-shard audit-chain structural integrity.
-func f13LeanViolations(f *f13Fleet, homed [][]string, frames [][][]byte) int {
-	violations := 0
-	want := map[string]bool{}
-	for _, wf := range frames {
-		for _, frame := range wf {
-			if msg, err := core.DecodeMessage(frame); err == nil {
-				if sub, ok := msg.(*core.SubmitTx); ok {
-					want[sub.Tx.ID] = true
-				}
-			}
-		}
+// primaries returns the router's shard primaries, in shard order.
+func primaries(r *fleet.Router) []*core.Provider {
+	var out []*core.Provider
+	for _, sh := range r.Shards() {
+		out = append(out, sh.Primary())
 	}
-	all := []string{"sink"}
-	for _, names := range homed {
-		all = append(all, names...)
+	return out
+}
+
+// audit checks the drained fleet against the submitted frames.
+func (f *f13Fleet) audit(frames [][][]byte) (*oracle.Report, error) {
+	want, err := oracle.Submitted(frames)
+	if err != nil {
+		return nil, err
 	}
-	seen := map[string]int{}
-	for _, sh := range f.router.Shards() {
-		p := sh.Primary()
-		for _, tx := range p.Ledger().History() {
-			seen[tx.ID]++
-			if !want[tx.ID] {
-				violations++ // executed a transaction nobody submitted
-			}
-		}
-		var sum int64
-		for _, name := range all {
-			bal, err := p.Ledger().Balance(name)
-			if err != nil {
-				violations++
-				continue
-			}
-			sum += bal
-		}
-		if sum != int64(len(all))*(1<<40) {
-			violations++ // money created or destroyed
-		}
-		if core.VerifyAuditChain(p.AuditLog().Entries()) != nil {
-			violations++
-		}
-	}
-	for id := range want {
-		switch seen[id] {
-		case 1:
-		case 0:
-			violations++ // lost
-		default:
-			violations++ // doubled
-		}
-	}
-	return violations
+	return oracle.Check(primaries(f.router), f.opening, want), nil
 }
 
 // ---------------------------------------------------------------------
@@ -568,8 +476,12 @@ func f13ModelCell(shards, accounts, totalTxs int) (tput, hotShare float64, err e
 			return 0, 0, fmt.Errorf("f13b: model drain rejected at %d shards", shards)
 		}
 	}
-	if violations := f13LeanViolations(f, [][]string{names}, [][][]byte{frames}); violations != 0 {
-		return 0, 0, fmt.Errorf("f13b: model drain at %d shards: %d violations", shards, violations)
+	report, err := f.audit([][][]byte{frames})
+	if err != nil {
+		return 0, 0, err
+	}
+	if err := report.Err(); err != nil {
+		return 0, 0, fmt.Errorf("f13b: model drain at %d shards: %w", shards, err)
 	}
 	snap := f.reg.Snapshot()
 	var makespan time.Duration
@@ -637,11 +549,14 @@ func f13ScaleCell(shards, txsPerWorker, reps int) (float64, error) {
 			f.close()
 			return 0, err
 		}
-		if violations := f13LeanViolations(f, homed, frames); violations != 0 {
-			f.close()
-			return 0, fmt.Errorf("f13b: %d shards rep %d: %d violations", shards, rep, violations)
-		}
+		report, err := f.audit(frames)
 		f.close()
+		if err != nil {
+			return 0, err
+		}
+		if err := report.Err(); err != nil {
+			return 0, fmt.Errorf("f13b: %d shards rep %d: %w", shards, rep, err)
+		}
 		if tput > best {
 			best = tput
 		}
@@ -699,7 +614,11 @@ func f13KillLoadCell(phase faults.KillPhase, shards, txsPerWorker int, onDisk bo
 	for _, sh := range f.router.Shards() {
 		failovers += sh.Failovers()
 	}
-	violations = f13LeanViolations(f, homed, frames)
+	report, err := f.audit(frames)
+	if err != nil {
+		return 0, 0, 0, 0, err
+	}
+	violations = len(report.Errors)
 	failoverMS = f.reg.Snapshot().Histograms["fleet.failover_latency"].MaxMS
 	return accepted, failovers, violations, failoverMS, nil
 }

@@ -13,6 +13,7 @@ import (
 	"unitp/internal/metrics"
 	"unitp/internal/netsim"
 	"unitp/internal/obs"
+	"unitp/internal/oracle"
 	"unitp/internal/sim"
 	"unitp/internal/wire"
 )
@@ -25,9 +26,9 @@ import (
 //     over genuine loopback TCP. Cells inject connection resets, bit
 //     corruption, mid-stream truncation, a partition window opened
 //     mid-drain, and slowloris throttling while supervised clients
-//     (wire.Client + RetryTransport) drain a fixed workload. The oracle
-//     is exactly-once: every submitted transaction executes exactly
-//     once, balances conserve, and the audit chain verifies — losses
+//     (wire.Client + RetryTransport) drain a fixed workload, and
+//     internal/oracle checks that every submitted transaction executed
+//     exactly once with balances and the audit log replaying — losses
 //     and resubmissions must be absorbed by fail-fast supervision,
 //     retry classification, and the provider's idempotence, never by
 //     double execution.
@@ -49,8 +50,8 @@ const f14Workers = 4
 // chaos matrix.
 const f14TxsPerWorker = 25
 
-// f14Initial funds each account; conservation is audited against it.
-const f14Initial = int64(1) << 30
+// f14Opening funds the drain's payer and sink.
+var f14Opening = map[string]int64{"payer": 1 << 30, "sink": 1 << 30}
 
 // f14FrameAttempts bounds a worker's resubmissions of one frame across
 // retry-policy runs (each run is itself several attempts with backoff).
@@ -92,8 +93,8 @@ func startF14Server(tag string, tweak func(*wire.ServerConfig)) (*f14Server, err
 		Random:                sim.NewRand(seedFor("f14-provider-"+tag, 0)),
 		ConfirmThresholdCents: 1_000_000, // every drain tx auto-accepts
 	})
-	for _, name := range []string{"payer", "sink"} {
-		if err := p.Ledger().CreateAccount(name, f14Initial); err != nil {
+	for name, cents := range f14Opening {
+		if err := p.Ledger().CreateAccount(name, cents); err != nil {
 			return nil, err
 		}
 	}
@@ -253,49 +254,13 @@ func f14Drain(addr string, frames [][][]byte, cliReg *obs.Registry, progress *at
 	return accepted, elapsed, nil
 }
 
-// f14Violations audits the provider after a drain: every minted ID
-// executed exactly once (zero lost, zero doubled), nothing executed
-// that was never minted, money conserved, audit chain intact.
-func f14Violations(p *core.Provider, frames [][][]byte) int {
-	want := map[string]bool{}
-	for _, wf := range frames {
-		for _, frame := range wf {
-			if msg, err := core.DecodeMessage(frame); err == nil {
-				if sub, ok := msg.(*core.SubmitTx); ok {
-					want[sub.Tx.ID] = true
-				}
-			}
-		}
+// f14Audit checks the provider after a drain against the minted frames.
+func f14Audit(p *core.Provider, frames [][][]byte) (*oracle.Report, error) {
+	want, err := oracle.Submitted(frames)
+	if err != nil {
+		return nil, err
 	}
-	violations := 0
-	seen := map[string]int{}
-	for _, tx := range p.Ledger().History() {
-		seen[tx.ID]++
-		if !want[tx.ID] {
-			violations++ // executed a transaction nobody submitted
-		}
-	}
-	for id := range want {
-		switch seen[id] {
-		case 1:
-		case 0:
-			violations++ // lost: accepted by the drain, absent from the ledger
-		default:
-			violations++ // doubled: a resubmission executed twice
-		}
-	}
-	payer, errP := p.Ledger().Balance("payer")
-	sink, errS := p.Ledger().Balance("sink")
-	if errP != nil || errS != nil || payer+sink != 2*f14Initial {
-		violations++ // money created or destroyed
-	}
-	if errP == nil && payer != f14Initial-int64(len(want)) {
-		violations++ // payer debited a different total than was accepted
-	}
-	if core.VerifyAuditChain(p.AuditLog().Entries()) != nil {
-		violations++
-	}
-	return violations
+	return oracle.Check([]*core.Provider{p}, f14Opening, want), nil
 }
 
 // ---------------------------------------------------------------------
@@ -397,6 +362,10 @@ func runF14ChaosCell(seed uint64, k int, c f14ChaosCase, workers, per int) (*f14
 	if drainErr != nil {
 		return nil, fmt.Errorf("f14: %s: %w", c.name, drainErr)
 	}
+	report, err := f14Audit(srv.provider, frames)
+	if err != nil {
+		return nil, err
+	}
 	snap := cliReg.Snapshot()
 	return &f14Cell{
 		Name:       c.name,
@@ -405,7 +374,7 @@ func runF14ChaosCell(seed uint64, k int, c f14ChaosCase, workers, per int) (*f14
 		Stats:      stats,
 		Reconnects: snap.Counters["wire.client.reconnects"],
 		ConnFails:  snap.Counters["wire.client.conn_failures"],
-		Violations: f14Violations(srv.provider, frames),
+		Violations: len(report.Errors),
 	}, nil
 }
 
@@ -460,8 +429,12 @@ func runF14OverloadRate(workers, per int) (goodput float64, shed int64, violatio
 	if accepted != workers*per {
 		return 0, 0, 0, fmt.Errorf("f14b: accepted %d of %d", accepted, workers*per)
 	}
+	report, err := f14Audit(srv.provider, frames)
+	if err != nil {
+		return 0, 0, 0, err
+	}
 	shed = srv.reg.Snapshot().Counters["wire.rate_limited"]
-	return float64(accepted) / elapsed.Seconds(), shed, f14Violations(srv.provider, frames), nil
+	return float64(accepted) / elapsed.Seconds(), shed, len(report.Errors), nil
 }
 
 // runF14OverloadPool exhausts a 2-connection accept pool, verifies the
@@ -604,8 +577,8 @@ func f14SideBySide(workers, per int) (string, error) {
 		Random:                sim.NewRand(seedFor("f14c-pipe", 0)),
 		ConfirmThresholdCents: 1_000_000,
 	})
-	for _, name := range []string{"payer", "sink"} {
-		if err := p.Ledger().CreateAccount(name, f14Initial); err != nil {
+	for name, cents := range f14Opening {
+		if err := p.Ledger().CreateAccount(name, cents); err != nil {
 			return "", err
 		}
 	}
@@ -622,8 +595,12 @@ func f14SideBySide(workers, per int) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if v := f14Violations(p, pipeFrames); v != 0 {
-		return "", fmt.Errorf("f14c: pipe arm: %d violations", v)
+	report, err := f14Audit(p, pipeFrames)
+	if err != nil {
+		return "", err
+	}
+	if err := report.Err(); err != nil {
+		return "", fmt.Errorf("f14c: pipe arm: %w", err)
 	}
 
 	// Arm 2: the same drain over real TCP, all workers pipelining on
@@ -649,8 +626,12 @@ func f14SideBySide(workers, per int) (string, error) {
 	if pushErr != nil {
 		return "", pushErr
 	}
-	if v := f14Violations(srv.provider, tcpFrames); v != 0 {
-		return "", fmt.Errorf("f14c: tcp arm: %d violations", v)
+	report, err = f14Audit(srv.provider, tcpFrames)
+	if err != nil {
+		return "", err
+	}
+	if err := report.Err(); err != nil {
+		return "", fmt.Errorf("f14c: tcp arm: %w", err)
 	}
 
 	table := metrics.NewTable(

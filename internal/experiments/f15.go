@@ -13,8 +13,7 @@ package experiments
 // The oracle is post-mortem and on-disk: after every process stops,
 // each shard's final lineage is located through the durable node
 // manifests, its provider restored from its data directory, and the
-// drain audited for exactly-once execution, balance conservation, and
-// audit-chain integrity. Expected shape: zero lost, zero doubled
+// drain audited by internal/oracle. Expected shape: zero lost, zero doubled
 // confirmations in every cell; exactly the scripted number of
 // failovers; the partition cell's failover completing *while* the
 // replication link is severed; and the rejoined deposed primary ending
@@ -69,7 +68,7 @@ type f15CellSpec struct {
 	per      int
 	wantFail int
 	during   func(pf *procFleet) (string, error)
-	after    func(pf *procFleet, want map[string]bool) (string, error)
+	after    func(pf *procFleet, want map[string]int64) (string, error)
 }
 
 // f15SplitFrames cuts each worker's frame stream at cut: the head is
@@ -183,7 +182,7 @@ func f15PartitionDuring(pf *procFleet) (string, error) {
 
 // f15RelinkAfter waits for the warden to re-adopt the partitioned
 // follower into the new lineage once the link heals.
-func f15RelinkAfter(pf *procFleet, _ map[string]bool) (string, error) {
+func f15RelinkAfter(pf *procFleet, _ map[string]int64) (string, error) {
 	if err := pf.waitFollowerLinked(0, 2, procReadyTimeout); err != nil {
 		return "", err
 	}
@@ -196,7 +195,7 @@ func f15RelinkAfter(pf *procFleet, _ map[string]bool) (string, error) {
 // new lineage, demotes itself to follower, and is re-adopted by the
 // warden — after which a second drain proves the healed fleet still
 // serves with the old primary replicating under the new epoch.
-func f15RejoinAfter(pf *procFleet, want map[string]bool) (string, error) {
+func f15RejoinAfter(pf *procFleet, want map[string]int64) (string, error) {
 	deposed := pf.members[0][0]
 	if err := deposed.start(pf.bin); err != nil {
 		return "", err
@@ -221,8 +220,8 @@ func f15RejoinAfter(pf *procFleet, want map[string]bool) (string, error) {
 	if accepted != len(extra) {
 		return "", fmt.Errorf("post-rejoin drain accepted %d of %d", accepted, len(extra))
 	}
-	for id := range extra {
-		want[id] = true
+	for id, amount := range extra {
+		want[id] = amount
 	}
 	if err := pf.waitFollowerLinked(0, 0, procReadyTimeout); err != nil {
 		return "", fmt.Errorf("rejoined follower lagging after drain: %w", err)
@@ -287,7 +286,7 @@ func f15Cells() []f15CellSpec {
 			cfg: procFleetConfig{tag: "slow", shards: 1, followers: 1,
 				chaos: map[[2]int]procChaos{{0, 1}: {throttle: 32 << 10}}},
 			per: f15TxsPerShard,
-			after: func(pf *procFleet, _ map[string]bool) (string, error) {
+			after: func(pf *procFleet, _ map[string]int64) (string, error) {
 				if err := pf.waitAllLinked(0, procReadyTimeout); err != nil {
 					return "", err
 				}
@@ -306,7 +305,7 @@ func f15Cells() []f15CellSpec {
 			cfg: procFleetConfig{tag: "corr", shards: 1, followers: 1,
 				chaos: map[[2]int]procChaos{{0, 1}: {corrupt: 0.02}}},
 			per: f15TxsPerShard, wantFail: -1,
-			after: func(pf *procFleet, _ map[string]bool) (string, error) {
+			after: func(pf *procFleet, _ map[string]int64) (string, error) {
 				if err := pf.waitAllLinked(0, procReadyTimeout); err != nil {
 					return "", err
 				}

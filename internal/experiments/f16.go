@@ -10,6 +10,7 @@ import (
 	"unitp/internal/core"
 	"unitp/internal/cryptoutil"
 	"unitp/internal/metrics"
+	"unitp/internal/oracle"
 	"unitp/internal/sim"
 	"unitp/internal/store"
 	"unitp/internal/workload"
@@ -17,10 +18,10 @@ import (
 
 // F16 breaks the crypto ceiling apart: confirmations per second per
 // core across the pluggable quote-signature schemes (RSA/SHA-1 as the
-// paper runs it, Ed25519, batched Ed25519) crossed with the attested-
-// session re-quote interval (N = 1 is a full quote per transaction; N =
-// 10/100 amortize one quote-verified session open over N HMAC-
-// authenticated confirmations).
+// paper runs it, and Ed25519) crossed with the attested-session
+// re-quote interval (N = 1 is a full quote per transaction; N = 10/100
+// amortize one quote-verified session open over N HMAC-authenticated
+// confirmations).
 //
 // Two throughputs are read off the same serial drive, by timing the
 // provider's Handle calls and the client's evidence minting separately:
@@ -54,8 +55,11 @@ const f16FailTxs = 120
 // every transaction pays a full quote, the paper's baseline).
 var f16Intervals = []int{1, 10, 100}
 
+// f16Opening is every provider's opening ledger.
+var f16Opening = map[string]int64{"alice": 1 << 40, "bob": 0}
+
 // f16Schemes is the crypto-profile sweep.
-var f16Schemes = []string{"rsa", "ed25519", "ed25519-batch"}
+var f16Schemes = []string{"rsa", "ed25519"}
 
 // f16Fixture holds the expensive, reusable material: one CA, one
 // provider keypair, and one certified synthetic client per scheme. Keys
@@ -138,7 +142,7 @@ func (f *f16Fixture) newF16Provider(schemeName string, interval int, seq int) (*
 	}
 	p := core.NewProvider(cfg)
 	f.approveF16PALs(p)
-	for acct, cents := range map[string]int64{"alice": 1 << 40, "bob": 0} {
+	for acct, cents := range f16Opening {
 		if err := p.Ledger().CreateAccount(acct, cents); err != nil {
 			return nil, err
 		}
@@ -162,7 +166,8 @@ type f16Driver struct {
 	sessUsed int
 	nextSID  uint64
 	opens    int
-	requotes int // stale-session refusals that forced a fresh open
+	requotes int              // stale-session refusals that forced a fresh open
+	want     map[string]int64 // every transaction driven, for the oracle
 }
 
 // handle round-trips one message through the provider, timing only the
@@ -226,6 +231,7 @@ func (dr *f16Driver) confirmOne(id string) error {
 		}
 	}
 	tx := &core.Transaction{ID: id, From: "alice", To: "bob", AmountCents: 1, Currency: "EUR"}
+	dr.want[id] = tx.AmountCents
 	resp, err := dr.handle(&core.SubmitTx{Tx: tx})
 	if err != nil {
 		return err
@@ -277,38 +283,25 @@ func (dr *f16Driver) confirmOne(id string) error {
 	return nil
 }
 
-// verifyF16 audits one finished drive: exactly-once in the ledger,
-// the audit chain replaying end to end, and the per-mode entry counts
-// matching what the drive did.
-func verifyF16(p *core.Provider, txs, opens, interval int) error {
-	history := p.Ledger().History()
-	if len(history) != txs {
-		return fmt.Errorf("experiments: f16 ledger holds %d transfers, drove %d", len(history), txs)
+// verify audits the finished drive: the oracle over the ledger and
+// audit log, then the per-mode audit entry counts matching what the
+// drive did.
+func (dr *f16Driver) verify() error {
+	report := oracle.Check([]*core.Provider{dr.p}, f16Opening, dr.want)
+	if err := report.Err(); err != nil {
+		return fmt.Errorf("experiments: f16: %w", err)
 	}
-	seen := map[string]bool{}
-	for _, tx := range history {
-		if seen[tx.ID] {
-			return fmt.Errorf("experiments: f16 transaction %s applied twice", tx.ID)
-		}
-		seen[tx.ID] = true
-	}
-	if bal, err := p.Ledger().Balance("alice"); err != nil || bal != 1<<40-int64(txs) {
-		return fmt.Errorf("experiments: f16 alice balance %d (err %v), want %d", bal, err, 1<<40-int64(txs))
-	}
-	report, err := core.ReplayAudit(p.AuditLog().Entries(), p.Verifier())
-	if err != nil {
-		return fmt.Errorf("experiments: f16 audit replay: %w", err)
-	}
+	audit := report.Audit[0]
 	wantSessionConfirms := 0
-	if interval > 1 {
-		wantSessionConfirms = txs
+	if dr.interval > 1 {
+		wantSessionConfirms = len(dr.want)
 	}
-	if report.SessionOpens != opens || report.SessionConfirms != wantSessionConfirms {
+	if audit.SessionOpens != dr.opens || audit.SessionConfirms != wantSessionConfirms {
 		return fmt.Errorf("experiments: f16 audit records %d opens / %d session confirms, want %d / %d",
-			report.SessionOpens, report.SessionConfirms, opens, wantSessionConfirms)
+			audit.SessionOpens, audit.SessionConfirms, dr.opens, wantSessionConfirms)
 	}
-	if interval == 1 && report.Reverified != txs {
-		return fmt.Errorf("experiments: f16 audit re-verified %d quote confirms, want %d", report.Reverified, txs)
+	if dr.interval == 1 && audit.Reverified != len(dr.want) {
+		return fmt.Errorf("experiments: f16 audit re-verified %d quote confirms, want %d", audit.Reverified, len(dr.want))
 	}
 	return nil
 }
@@ -325,14 +318,14 @@ func (f *f16Fixture) runF16Rep(schemeName string, interval, seq int) (*f16CellRe
 	if err != nil {
 		return nil, err
 	}
-	dr := &f16Driver{p: p, client: f.clients[schemeName], interval: interval}
+	dr := &f16Driver{p: p, client: f.clients[schemeName], interval: interval, want: map[string]int64{}}
 	runtime.GC()
 	for i := 0; i < f16Txs; i++ {
 		if err := dr.confirmOne(fmt.Sprintf("f16-%s-%d-%d-%d", schemeName, interval, seq, i)); err != nil {
 			return nil, err
 		}
 	}
-	if err := verifyF16(p, f16Txs, dr.opens, interval); err != nil {
+	if err := dr.verify(); err != nil {
 		return nil, err
 	}
 	return &f16CellResult{
@@ -374,7 +367,7 @@ func (f *f16Fixture) runF16Failover() (requotes, opens int, err error) {
 	}
 	p := core.NewProvider(cfg)
 	f.approveF16PALs(p)
-	for acct, cents := range map[string]int64{"alice": 1 << 40, "bob": 0} {
+	for acct, cents := range f16Opening {
 		if err := p.Ledger().CreateAccount(acct, cents); err != nil {
 			return 0, 0, err
 		}
@@ -383,7 +376,7 @@ func (f *f16Fixture) runF16Failover() (requotes, opens int, err error) {
 		return 0, 0, err
 	}
 
-	dr := &f16Driver{p: p, client: f.clients["rsa"], interval: 100}
+	dr := &f16Driver{p: p, client: f.clients["rsa"], interval: 100, want: map[string]int64{}}
 	half := f16FailTxs / 2
 	for i := 0; i < half; i++ {
 		if err := dr.confirmOne(fmt.Sprintf("f16-fail-%d", i)); err != nil {
@@ -418,7 +411,7 @@ func (f *f16Fixture) runF16Failover() (requotes, opens int, err error) {
 	if dr.requotes < 1 {
 		return 0, 0, fmt.Errorf("experiments: f16 failover forced no re-quote (session survived a restart?)")
 	}
-	if err := verifyF16(p2, f16FailTxs, dr.opens, 100); err != nil {
+	if err := dr.verify(); err != nil {
 		return 0, 0, err
 	}
 	return dr.requotes, dr.opens, nil

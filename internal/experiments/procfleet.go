@@ -27,6 +27,7 @@ import (
 	"unitp/internal/core"
 	"unitp/internal/faults"
 	"unitp/internal/fleet"
+	"unitp/internal/oracle"
 	"unitp/internal/sim"
 	"unitp/internal/store"
 )
@@ -151,9 +152,9 @@ func procHomedAccounts(shards int) ([]string, int) {
 // transactions from its shard-homed account into the sink, so every
 // shard sees a single sequential commit stream and the -kill-*-ship
 // offsets are deterministic.
-func procMint(tag string, homed []string, per int) ([][][]byte, map[string]bool, error) {
+func procMint(tag string, homed []string, per int) ([][][]byte, map[string]int64, error) {
 	frames := make([][][]byte, 0, len(homed))
-	want := map[string]bool{}
+	want := map[string]int64{}
 	for w, from := range homed {
 		wf := make([][]byte, 0, per)
 		for k := 0; k < per; k++ {
@@ -165,7 +166,7 @@ func procMint(tag string, homed []string, per int) ([][][]byte, map[string]bool,
 				return nil, nil, err
 			}
 			wf = append(wf, frame)
-			want[id] = true
+			want[id] = 1
 		}
 		frames = append(frames, wf)
 	}
@@ -626,19 +627,19 @@ func (pf *procFleet) bootError(err error) error {
 // procAudit is the post-mortem oracle. With every process stopped, it
 // reads each member's durable node manifest to find the shard's final
 // lineage (the primary role at the highest epoch), restores that
-// member's provider from its data directory, and audits: every drained
-// transaction ID executed exactly once fleet-wide, nothing executed
-// that was never submitted, per-shard balance conservation, and the
-// audit hash chain verifying end to end.
-func (pf *procFleet) procAudit(want map[string]bool) (int, error) {
-	violations := 0
-	accounts := []string{"sink", "alice", "bob", "mallory"}
+// member's provider from its data directory, and runs the oracle over
+// the restored shards against every drained transaction.
+func (pf *procFleet) procAudit(want map[string]int64) (int, error) {
+	opening := map[string]int64{"alice": 1_000_000, "bob": 0, "mallory": 0, "sink": 0}
 	for i := 0; i < pf.seedN; i++ {
-		accounts = append(accounts, fmt.Sprintf("acct-%05d", i))
+		opening[fmt.Sprintf("acct-%05d", i)] = 1 << 40
 	}
-	expectSum := int64(pf.seedN)*(1<<40) + 1_000_000 // workload accounts + alice
-
-	seen := map[string]int{}
+	var providers []*core.Provider
+	defer func() {
+		for _, p := range providers {
+			p.Store().Close()
+		}
+	}()
 	for s, shardMembers := range pf.members {
 		winner := -1
 		var winEpoch uint64
@@ -676,39 +677,9 @@ func (pf *procFleet) procAudit(want map[string]bool) (int, error) {
 		if err != nil {
 			return 0, fmt.Errorf("procfleet: shard %d post-mortem restore: %w", s, err)
 		}
-		for _, tx := range p.Ledger().History() {
-			seen[tx.ID]++
-			if !want[tx.ID] {
-				violations++ // executed a transaction nobody submitted
-			}
-		}
-		var sum int64
-		for _, name := range accounts {
-			bal, err := p.Ledger().Balance(name)
-			if err != nil {
-				violations++
-				continue
-			}
-			sum += bal
-		}
-		if sum != expectSum {
-			violations++ // money created or destroyed
-		}
-		if core.VerifyAuditChain(p.AuditLog().Entries()) != nil {
-			violations++
-		}
-		p.Store().Close()
+		providers = append(providers, p)
 	}
-	for id := range want {
-		switch seen[id] {
-		case 1:
-		case 0:
-			violations++ // lost
-		default:
-			violations++ // doubled
-		}
-	}
-	return violations, nil
+	return len(oracle.Check(providers, opening, want).Errors), nil
 }
 
 // procFreeAddr grabs an ephemeral localhost port and releases it for

@@ -285,13 +285,6 @@ func (p *Proxy) Heal() {
 	p.mu.Unlock()
 }
 
-// Partitioned reports whether a partition window is open.
-func (p *Proxy) Partitioned() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.partitioned
-}
-
 // Stats snapshots the fault counters.
 func (p *Proxy) Stats() ProxyStats {
 	p.mu.Lock()

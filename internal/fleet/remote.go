@@ -118,13 +118,6 @@ func (rs *RemoteShard) Failovers() int {
 	return rs.failovers
 }
 
-// PrimaryMember reports the member currently believed primary.
-func (rs *RemoteShard) PrimaryMember() int {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return rs.members[rs.primary].Member
-}
-
 // Handle implements ShardRef: one request to the believed primary.
 // Transport-level failures (conn down, dial refused, response timeout)
 // surface as ErrPrimaryUnreachable — a failover trigger; error frames

@@ -91,9 +91,6 @@ func NewRouterRefs(refs []ShardRef, virtualNodes int, metrics *obs.Registry) *Ro
 // for a router fronting remote shards.
 func (r *Router) Shards() []*Shard { return r.shards }
 
-// Refs returns the router's shard references in index order.
-func (r *Router) Refs() []ShardRef { return r.refs }
-
 // ShardFor returns the shard index owning a routing key — exposed so
 // experiments can place accounts on chosen shards.
 func (r *Router) ShardFor(key string) int { return r.ring.Shard(key) }

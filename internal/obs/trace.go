@@ -169,15 +169,6 @@ func (t *SessionTrace) snapshot() (label string, spans []Span, events []Event, d
 	return t.label, append([]Span(nil), t.spans...), append([]Event(nil), t.events...), t.dropped
 }
 
-// Spans returns a copy of the recorded spans (nil on a nil trace).
-func (t *SessionTrace) Spans() []Span {
-	if t == nil {
-		return nil
-	}
-	_, spans, _, _ := t.snapshot()
-	return spans
-}
-
 // Events returns a copy of the recorded point events (nil on a nil
 // trace).
 func (t *SessionTrace) Events() []Event {

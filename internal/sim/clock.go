@@ -76,10 +76,6 @@ func (c *VirtualClock) Sleep(d time.Duration) {
 	c.slept += d
 }
 
-// Advance is a synonym for Sleep, for callers that read better with
-// scheduler vocabulary.
-func (c *VirtualClock) Advance(d time.Duration) { c.Sleep(d) }
-
 // Elapsed reports how much virtual time has passed since the clock was
 // created (i.e. the sum of all Sleep calls).
 func (c *VirtualClock) Elapsed() time.Duration {
@@ -128,11 +124,6 @@ func (s *Stopwatch) Restart() time.Duration {
 	d := now.Sub(s.start)
 	s.start = now
 	return d
-}
-
-// Lap returns the elapsed time formatted for experiment tables.
-func (s *Stopwatch) Lap() string {
-	return FormatDuration(s.Elapsed())
 }
 
 // FormatDuration renders a duration with millisecond precision, the

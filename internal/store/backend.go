@@ -187,13 +187,6 @@ func (b *MemBackend) SetCrashHook(h CrashHook) {
 	b.hook = h
 }
 
-// Crashed reports whether the backend is in the post-crash dead state.
-func (b *MemBackend) Crashed() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.crashed
-}
-
 // consult runs the hook for one event; on a crash verdict the backend
 // enters the dead state. Must be called with b.mu held.
 func (b *MemBackend) consult(ev CrashEvent) bool {

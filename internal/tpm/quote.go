@@ -62,46 +62,14 @@ func (t *TPM) Quote(loc Locality, handle Handle, externalData []byte, selection 
 	}, nil
 }
 
-// SignQuote builds and signs a quote directly from a key and explicit
-// PCR values, without a TPM instance. Load generators and benchmark
-// harnesses use it to mint valid evidence for platforms that exist only
-// as key material — the output is indistinguishable from TPM.Quote over
-// the same state. A nil random is allowed (PKCS#1 v1.5 signing is
-// deterministic).
-func SignQuote(random io.Reader, key *rsa.PrivateKey, externalData [20]byte, selection []int, values []cryptoutil.Digest) (*Quote, error) {
-	sel, err := NormalizeSelection(selection)
-	if err != nil {
-		return nil, err
-	}
-	if len(values) != len(sel) {
-		return nil, fmt.Errorf("tpm: sign quote: %d values for %d selected PCRs", len(values), len(sel))
-	}
-	composite, err := ComputeComposite(sel, values)
-	if err != nil {
-		return nil, err
-	}
-	digest := cryptoutil.SHA1(quoteInfoBytes(composite, externalData))
-	sig, err := rsa.SignPKCS1v15(random, key, crypto.SHA1, digest[:])
-	if err != nil {
-		return nil, fmt.Errorf("tpm: sign quote: %w", err)
-	}
-	vals := make([]cryptoutil.Digest, len(values))
-	copy(vals, values)
-	return &Quote{
-		CompositeDigest: composite,
-		ExternalData:    externalData,
-		Selection:       sel,
-		PCRValues:       vals,
-		Signature:       sig,
-	}, nil
-}
-
-// SignQuoteScheme is SignQuote for an arbitrary crypto profile: the
-// signer's scheme decides the signature algorithm while the
-// TPM_QUOTE_INFO message, composite computation, and wire layout stay
-// identical (the signature field is opaque bytes). An RSA scheme signer
-// produces byte-identical output to SignQuote over the same key and
-// state.
+// SignQuoteScheme builds and signs a quote directly from a signer and
+// explicit PCR values, without a TPM instance. Load generators and
+// benchmark harnesses use it to mint valid evidence for platforms that
+// exist only as key material. The signer's scheme decides the
+// signature algorithm while the TPM_QUOTE_INFO message, composite
+// computation, and wire layout stay identical (the signature field is
+// opaque bytes); an RSA scheme signer's output is indistinguishable
+// from TPM.Quote over the same key and state.
 func SignQuoteScheme(random io.Reader, signer cryptoutil.Signer, externalData [20]byte, selection []int, values []cryptoutil.Digest) (*Quote, error) {
 	sel, err := NormalizeSelection(selection)
 	if err != nil {

@@ -84,22 +84,6 @@ func (s pooledKeySource) Next() (*rsa.PrivateKey, error) {
 	return cryptoutil.PooledKey(int(idx))
 }
 
-// freshKeySource generates real keys from a randomness source.
-type freshKeySource struct {
-	random io.Reader
-	bits   int
-}
-
-// FreshKeySource returns a KeySource that generates new RSA keys of the
-// given size from random.
-func FreshKeySource(random io.Reader, bits int) KeySource {
-	return freshKeySource{random: random, bits: bits}
-}
-
-func (s freshKeySource) Next() (*rsa.PrivateKey, error) {
-	return cryptoutil.GenerateRSAKey(s.random, s.bits)
-}
-
 // Config configures a TPM device. Zero-value fields receive defaults:
 // an Ideal profile, a fresh virtual clock, crypto/rand entropy, and the
 // pooled key source.

@@ -50,8 +50,7 @@ type ClientConfig struct {
 
 	// MaxInflight bounds pipelined round trips on the connection
 	// (default DefaultMaxInflight). The protocol matches responses to
-	// requests positionally, the discipline netsim.ServeConcurrent
-	// preserves server-side.
+	// requests positionally, the order Server's worker pool preserves.
 	MaxInflight int
 
 	// Metrics receives reconnect/failure counters. nil runs unmetered.

@@ -107,14 +107,19 @@ func TestPipelinedOrdering(t *testing.T) {
 }
 
 func TestHandlerErrorBecomesRemoteError(t *testing.T) {
+	reg := obs.NewRegistry()
 	_, addr, _ := startServer(t, ServerConfig{
 		Handler: func(req []byte) ([]byte, error) {
-			return nil, errors.New("handler exploded")
+			if bytes.Equal(req, []byte("bad")) {
+				return nil, errors.New("handler exploded")
+			}
+			return echoHandler(req)
 		},
+		Metrics: reg,
 	})
 	c := newTestClient(addr, nil)
 	defer c.Close()
-	_, err := c.RoundTrip([]byte("x"))
+	_, err := c.RoundTrip([]byte("bad"))
 	var remote *netsim.RemoteError
 	if !errors.As(err, &remote) {
 		t.Fatalf("want RemoteError, got %v", err)
@@ -124,6 +129,13 @@ func TestHandlerErrorBecomesRemoteError(t *testing.T) {
 	}
 	if !netsim.DefaultRetryable(err) {
 		t.Fatal("generic remote errors must stay retryable")
+	}
+	// One bad request must not tear the connection down.
+	if resp, err := c.RoundTrip([]byte("good")); err != nil || !bytes.Equal(resp, []byte("good")) {
+		t.Fatalf("after error frame: resp %q err %v", resp, err)
+	}
+	if n := reg.Snapshot().Counters["wire.conns_accepted"]; n != 1 {
+		t.Fatalf("%d connections accepted, want the one that survived the error", n)
 	}
 }
 

@@ -46,8 +46,7 @@ type DeploymentConfig struct {
 	// NonceTTL bounds challenge freshness (default 5 min).
 	NonceTTL time.Duration
 
-	// Accounts seeds the provider ledger; nil gets a default
-	// alice/bob/mallory set.
+	// Accounts seeds the provider ledger; nil gets DefaultAccounts.
 	Accounts map[string]int64
 
 	// Credentials seeds username/PIN pairs for the login flow; nil
@@ -102,6 +101,12 @@ type DeploymentConfig struct {
 
 // DefaultPIN is the PIN enrolled for alice in default deployments.
 const DefaultPIN = "2468"
+
+// DefaultAccounts is the opening ledger of a deployment that names
+// none: alice holds 1,000,000 cents, bob and mallory nothing.
+func DefaultAccounts() map[string]int64 {
+	return map[string]int64{"alice": 1_000_000, "bob": 0, "mallory": 0}
+}
 
 // Deployment is one complete simulated system: a client machine with OS
 // and PAL manager, the privacy CA, the service provider, and the network
@@ -231,7 +236,7 @@ func NewDeployment(cfg DeploymentConfig) (*Deployment, error) {
 
 	accounts := cfg.Accounts
 	if accounts == nil {
-		accounts = map[string]int64{"alice": 1_000_000, "bob": 0, "mallory": 0}
+		accounts = DefaultAccounts()
 	}
 	for name, cents := range accounts {
 		if err := provider.Ledger().CreateAccount(name, cents); err != nil {
@@ -346,6 +351,3 @@ func (d *Deployment) RestartProvider() error {
 	d.Pipe.SetHandler(d.handle)
 	return nil
 }
-
-// Restarts reports how many times the provider has been restarted.
-func (d *Deployment) Restarts() int { return d.restarts }
