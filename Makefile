@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race check bench bench-crypto bench-smoke chaos-smoke results clean
+.PHONY: all vet build test race check bench bench-crypto bench-smoke chaos-smoke perfbench-selftest results clean
 
 all: check
 
@@ -50,6 +50,13 @@ bench-smoke:
 # transaction, broken audit chain, or unexpected failover count.
 chaos-smoke:
 	$(GO) test ./internal/experiments -run 'TestF13ChaosSmoke|TestF13MatrixCells|TestF13KillUnderLoadExactlyOnce|TestF14ChaosSmoke|TestF14ChaosCellsExactlyOnce|TestF15ProcSmoke' -count=1 -v
+
+# perfbench-selftest vets and self-tests the trusted-path benchmark
+# (perfbench/, its own module built against internal/ through a replace
+# directive, so the root ./... never compiles it): a tiny run of every
+# workload, with metric names and units checked against BENCHMARK.json.
+perfbench-selftest:
+	cd perfbench && $(GO) vet ./... && $(GO) test .
 
 # results regenerates every table/figure into results/.
 results:

@@ -232,10 +232,16 @@ func (l *AuditLog) Len() int {
 
 // Entries returns a copy of the log.
 func (l *AuditLog) Entries() []AuditEntry {
+	return l.entriesSince(0)
+}
+
+// entriesSince returns a copy of the entries after the first i — what a
+// rotation appends to the history log.
+func (l *AuditLog) entriesSince(i int) []AuditEntry {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]AuditEntry, len(l.entries))
-	copy(out, l.entries)
+	out := make([]AuditEntry, len(l.entries)-i)
+	copy(out, l.entries[i:])
 	return out
 }
 

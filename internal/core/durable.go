@@ -21,9 +21,17 @@ import (
 // synced before the response leaves the provider. Group commit is what
 // makes each request's durability atomic: a crash tears either the
 // whole group (the client retries into a clean provider) or nothing.
-// RestoreProvider rebuilds a provider from the latest snapshot plus the
-// WAL tail, re-verifying the audit hash chain end to end, and rotates
-// into a fresh generation so torn tails are discarded for good.
+// RestoreProvider rebuilds a provider from the store's history log, the
+// latest snapshot and the WAL tail, re-verifying the audit hash chain
+// end to end, and rotates into a fresh generation so torn tails are
+// discarded for good.
+//
+// A snapshot holds live state only. The audit log and the ledger's
+// executed transactions only ever grow, so each rotation appends just
+// the entries and transactions added since the previous one to the
+// store's history log (histMark tracks how far it got) instead of
+// re-encoding them into every snapshot; rotation cost then follows live
+// state, not the length of history.
 //
 // While a store is attached, the state transition serializes on stateMu
 // — WAL order then equals mutation order, which replay depends on
@@ -459,13 +467,25 @@ func (p *Provider) waitCommitterIdle() {
 	c.mu.Unlock()
 }
 
-// snapshotIdle writes the current state as a new generation. The caller
-// must hold stateMu with the committer idle.
+// histMark counts how much of the audit log and the ledger history the
+// attached store has written to its history log since it was opened;
+// their sum is the prior count WriteSnapshot checks.
+type histMark struct{ audit, txs int }
+
+// snapshotIdle writes the current state as a new generation, appending
+// to the history log only the audit entries and transactions added
+// since the last rotation. The caller must hold stateMu with the
+// committer idle.
 func (p *Provider) snapshotIdle() error {
-	if err := p.st.WriteSnapshot(p.encodeState()); err != nil {
+	entries := p.audit.entriesSince(p.histMark.audit)
+	txs := p.ledger.historySince(p.histMark.txs)
+	prior := uint64(p.histMark.audit + p.histMark.txs)
+	if err := p.st.WriteSnapshot(p.encodeState(), prior, encodeHistory(entries, txs)); err != nil {
 		p.markDead()
 		return err
 	}
+	p.histMark.audit += len(entries)
+	p.histMark.txs += len(txs)
 	c := &p.commit
 	c.mu.Lock()
 	c.sinceSnap = 0
@@ -574,35 +594,83 @@ func statsFields(s *ProviderStats) []*int {
 	}
 }
 
-// snapshotVersion versions the provider-state snapshot payload.
-const providerSnapshotVersion = 1
+// providerSnapshotVersion versions the provider-state snapshot payload.
+// Version 1 carried the audit log and ledger history inline; version 2
+// leaves them to the history log and records only how much of it the
+// snapshot builds on.
+const providerSnapshotVersion = 2
 
-// encodeState serializes the provider's full durable state. Map keys
-// are sorted so the same state always produces the same bytes.
+// History-log record kinds: one audit entry or one executed
+// transaction, tag byte then the item's Marshal form.
+const (
+	histAudit uint8 = iota + 1
+	histTx
+)
+
+// encodeHistory frames audit entries and executed transactions as
+// history-log records. The two sequences are independent, so entries go
+// first, then transactions, each in its own order.
+func encodeHistory(entries []AuditEntry, txs []Transaction) [][]byte {
+	recs := make([][]byte, 0, len(entries)+len(txs))
+	for i := range entries {
+		recs = append(recs, append([]byte{histAudit}, entries[i].Marshal()...))
+	}
+	for i := range txs {
+		recs = append(recs, append([]byte{histTx}, txs[i].Marshal()...))
+	}
+	return recs
+}
+
+// loadHistory restores the history log: audit entries through
+// AuditLog.Restore, which verifies every chain link, and executed
+// transactions into the ledger's history and applied set without their
+// balance effects, which the snapshot that follows already carries.
+func (p *Provider) loadHistory(recs [][]byte) error {
+	for i, rec := range recs {
+		if len(rec) == 0 {
+			return fmt.Errorf("core: history record %d is empty", i)
+		}
+		var err error
+		switch rec[0] {
+		case histAudit:
+			var e *AuditEntry
+			if e, err = UnmarshalAuditEntry(rec[1:]); err == nil {
+				err = p.audit.Restore(*e)
+			}
+		case histTx:
+			var tx *Transaction
+			if tx, err = UnmarshalTransaction(rec[1:]); err == nil {
+				err = p.ledger.restoreExecuted(*tx)
+			}
+		default:
+			err = fmt.Errorf("unknown kind %d", rec[0])
+		}
+		if err != nil {
+			return fmt.Errorf("core: history record %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
+// encodeState serializes the provider's live durable state. Map keys
+// are sorted so the same state always produces the same bytes. The
+// audit log and ledger history are not in it: the snapshot records only
+// how many of each the history log holds, and the audit head, so a
+// restore can check the two agree.
 func (p *Provider) encodeState() []byte {
 	b := cryptoutil.NewBuffer(4096)
 	b.PutUint8(providerSnapshotVersion)
 
-	// Ledger: balances and executed history (the applied set is the
-	// history's ID set, rebuilt on restore).
-	balances, history := p.ledger.exportState()
+	balances := p.ledger.exportBalances()
 	names := sortedKeys(balances)
 	b.PutUint32(uint32(len(names)))
 	for _, name := range names {
 		b.PutString(name)
 		b.PutUint64(uint64(balances[name]))
 	}
-	b.PutUint32(uint32(len(history)))
-	for i := range history {
-		b.PutBytes(history[i].Marshal())
-	}
-
-	// Audit log, entries in chain order.
-	entries := p.audit.Entries()
-	b.PutUint32(uint32(len(entries)))
-	for i := range entries {
-		b.PutBytes(entries[i].Marshal())
-	}
+	b.PutUint64(uint64(p.ledger.historyLen()))
+	b.PutUint64(uint64(p.audit.Len()))
+	b.PutDigest(p.audit.Head())
 
 	// Session state is merged across the stripes (the snapshot's sorted
 	// writes erase the shard structure, so shard count is a runtime
@@ -743,12 +811,15 @@ func (p *Provider) encodeState() []byte {
 	return b.Bytes()
 }
 
-// loadState restores the provider from a snapshot payload. Audit
-// entries go through AuditLog.Restore, which verifies every chain link.
+// loadState restores the provider from a snapshot payload. The history
+// log must already be loaded (loadHistory): the snapshot's recorded
+// transaction count, audit length and audit head must match it.
 func (p *Provider) loadState(data []byte) error {
 	r := cryptoutil.NewReader(data)
 	if v := r.Uint8(); v != providerSnapshotVersion {
-		return fmt.Errorf("core: unsupported provider snapshot version %d", v)
+		return fmt.Errorf("core: provider snapshot version %d, this build reads only version %d "+
+			"(version 1 kept the audit log and ledger history inline and cannot be restored)",
+			v, providerSnapshotVersion)
 	}
 
 	balances := make(map[string]int64)
@@ -756,23 +827,15 @@ func (p *Provider) loadState(data []byte) error {
 		name := r.String()
 		balances[name] = int64(r.Uint64())
 	}
-	var history []Transaction
-	for i, n := 0, int(r.Uint32()); i < n && r.Err() == nil; i++ {
-		tx, err := UnmarshalTransaction(r.Bytes())
-		if err != nil {
-			return fmt.Errorf("core: snapshot history: %w", err)
+	p.ledger.restoreBalances(balances)
+	txs, entries, head := int(r.Uint64()), int(r.Uint64()), r.Digest()
+	if r.Err() == nil {
+		if got := p.ledger.historyLen(); got != txs {
+			return fmt.Errorf("core: snapshot covers %d executed transactions, history log holds %d", txs, got)
 		}
-		history = append(history, *tx)
-	}
-	p.ledger.restoreState(balances, history)
-
-	for i, n := 0, int(r.Uint32()); i < n && r.Err() == nil; i++ {
-		e, err := UnmarshalAuditEntry(r.Bytes())
-		if err != nil {
-			return fmt.Errorf("core: snapshot audit: %w", err)
-		}
-		if err := p.audit.Restore(*e); err != nil {
-			return err
+		if got := p.audit.Len(); got != entries || p.audit.Head() != head {
+			return fmt.Errorf("%w: snapshot covers %d audit entries, history log holds %d or ends at another head",
+				ErrChainBroken, entries, got)
 		}
 	}
 
@@ -1008,6 +1071,9 @@ func (p *Provider) AttachStore(st *store.Store) error {
 	defer p.stateMu.Unlock()
 	st.SetMetrics(p.obsReg)
 	p.st = st
+	// A store attached right after Open has written no history, so the
+	// first rotation hands it the whole history with prior 0.
+	p.histMark = histMark{}
 	// No requests have gone through the durable path yet, so the
 	// committer is trivially idle and the snapshot is safe.
 	return p.snapshotIdle()
@@ -1113,10 +1179,12 @@ func (p *Provider) isDead() bool { return p.dead.Load() }
 // markDead records a fatal store failure.
 func (p *Provider) markDead() { p.dead.Store(true) }
 
-// RestoreProvider rebuilds a provider from a store: latest valid
-// snapshot, then the WAL tail, with the audit hash chain re-verified
-// end to end, finishing with a rotation into a fresh generation (which
-// is how torn WAL tails are discarded durably). The caller re-applies
+// RestoreProvider rebuilds a provider from a store: the history log,
+// then the latest valid snapshot, then the WAL tail, with the audit hash
+// chain re-verified end to end, finishing with a rotation into a fresh
+// generation (which is how torn WAL tails are discarded durably; it
+// rewrites the whole history into a new history file, as the first
+// rotation of every store life does). The caller re-applies
 // configuration that is not state — the CA key, provider RSA key, and
 // PAL approvals on Verifier() — exactly as at first construction.
 func RestoreProvider(cfg ProviderConfig, st *store.Store) (*Provider, error) {
@@ -1127,7 +1195,12 @@ func RestoreProvider(cfg ProviderConfig, st *store.Store) (*Provider, error) {
 	tr.SetLabel("recovery")
 	defer tr.Finish()
 
-	sp := tr.StartSpan("recover.snapshot")
+	sp := tr.StartSpan("recover.history")
+	if err := p.loadHistory(st.History()); err != nil {
+		return nil, fmt.Errorf("core: restore history: %w", err)
+	}
+	sp.End()
+	sp = tr.StartSpan("recover.snapshot")
 	if snap := st.Snapshot(); snap != nil {
 		if err := p.loadState(snap); err != nil {
 			return nil, fmt.Errorf("core: restore snapshot: %w", err)

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -133,13 +134,13 @@ func driveCrashWorkload(t *testing.T, d *durableRig, numTx, maxAttempts int) {
 func assertRecoveryInvariants(t *testing.T, d *durableRig, wantBob int64) {
 	t.Helper()
 	live := d.provider
-	liveBalances, liveHistory := live.ledger.exportState()
+	liveBalances, liveHistory := live.ledger.exportBalances(), live.ledger.History()
 	liveHead := live.audit.Head()
 
 	d.restart(t)
 	p := d.provider
 
-	balances, history := p.ledger.exportState()
+	balances, history := p.ledger.exportBalances(), p.ledger.History()
 	if balances["bob"] != wantBob {
 		t.Fatalf("bob = %d, want %d (lost or double-applied transfers)", balances["bob"], wantBob)
 	}
@@ -395,9 +396,10 @@ func TestOutcomeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestProviderSnapshotRoundTrip checks encodeState/loadState is a fixed
-// point: a provider restored from a snapshot re-encodes to the exact
-// same bytes (the determinism WriteSnapshot and the sweep rely on).
+// TestProviderSnapshotRoundTrip checks loadHistory+loadState then
+// encodeState is a fixed point: a provider restored from the history
+// log and a snapshot re-encodes to the exact same bytes (the
+// determinism WriteSnapshot and the sweep rely on).
 func TestProviderSnapshotRoundTrip(t *testing.T) {
 	r := newRig(t, nil)
 	r.pressOnce('y')
@@ -405,8 +407,12 @@ func TestProviderSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	state := r.provider.encodeState()
+	history := encodeHistory(r.provider.audit.Entries(), r.provider.ledger.History())
 
 	p2 := NewProvider(ProviderConfig{Name: "clone", Clock: r.clock})
+	if err := p2.loadHistory(history); err != nil {
+		t.Fatal(err)
+	}
 	if err := p2.loadState(state); err != nil {
 		t.Fatal(err)
 	}
@@ -418,5 +424,178 @@ func TestProviderSnapshotRoundTrip(t *testing.T) {
 	}
 	if p2.audit.Head() != r.provider.audit.Head() {
 		t.Fatal("restored audit head differs")
+	}
+	if len(p2.ledger.History()) != 1 {
+		t.Fatalf("restored history = %v", p2.ledger.History())
+	}
+
+	// The snapshot names how much history it builds on: loading it over
+	// a history log that is one record short must fail, not restore a
+	// provider whose audit log or ledger history silently lost entries.
+	for drop := range history {
+		short := append(append([][]byte(nil), history[:drop]...), history[drop+1:]...)
+		p3 := NewProvider(ProviderConfig{Name: "short", Clock: r.clock})
+		if err := p3.loadHistory(short); err != nil {
+			continue // a dropped audit entry breaks the chain at load
+		}
+		if err := p3.loadState(state); err == nil {
+			t.Fatalf("snapshot loaded over a history log missing record %d", drop)
+		}
+	}
+}
+
+// TestSnapshotV1Refused checks a version-1 provider snapshot, which
+// kept the audit log and ledger history inline, is refused with an
+// error naming the version instead of being misread.
+func TestSnapshotV1Refused(t *testing.T) {
+	r := newRig(t, nil)
+	state := r.provider.encodeState()
+	state[0] = 1
+	p2 := NewProvider(ProviderConfig{Name: "clone", Clock: r.clock})
+	err := p2.loadState(state)
+	if err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("v1 snapshot: err = %v, want a refusal naming version 1", err)
+	}
+}
+
+// TestCrashMidRotationWithHistory crashes at every backend operation of
+// a rotation that appends to the history log — history write and sync,
+// snapshot create, write, sync and rename, WAL create, and removal of
+// the old generation — and recovers with torn and garbage tails on
+// every unsynced byte. Each recovery must reproduce the audit head,
+// History() and balances of the run without a crash, and the restart's
+// own rotation (a new history file holding everything) must restore the
+// same state once more.
+func TestCrashMidRotationWithHistory(t *testing.T) {
+	hit := map[string]bool{}
+	for crashAt := 0; ; crashAt++ {
+		plan := faults.NewCrashPlan(sim.NewRand(5), faults.CrashRates{})
+		tear := faults.RecoveryPolicy{TornWrite: true, TrailingGarbage: true}.
+			Tear(sim.NewRand(0x7EA3).Fork(fmt.Sprint(crashAt)))
+		d := newDurableRig(t, 0, plan, tear)
+		d.alwaysApprove()
+		submit := func(id string) {
+			t.Helper()
+			outcome, err := d.client.SubmitTransaction(payment(id, "bob", 1_000))
+			if err != nil || !outcome.Accepted {
+				t.Fatalf("crashAt=%d: %s: %+v, %v", crashAt, id, outcome, err)
+			}
+		}
+		submit("rot-0")
+		submit("rot-1")
+		if err := d.provider.SnapshotNow(); err != nil { // starts the history file
+			t.Fatal(err)
+		}
+		submit("rot-2")
+		submit("rot-3")
+		wantHead := d.provider.audit.Head()
+		wantHistory := d.provider.ledger.History()
+		wantBalances := d.provider.ledger.exportBalances()
+
+		n := 0
+		var fired store.CrashEvent
+		d.backend.SetCrashHook(func(ev store.CrashEvent) bool {
+			n++
+			if n-1 == crashAt {
+				fired = ev
+				return true
+			}
+			return false
+		})
+		err := d.provider.SnapshotNow()
+		d.backend.SetCrashHook(d.plan.Hook)
+		if fired.Op == 0 {
+			if err != nil {
+				t.Fatalf("crashAt=%d: %v", crashAt, err)
+			}
+			break
+		}
+		name := fmt.Sprintf("crashAt=%d (%v %v %s)", crashAt, fired.Phase, fired.Op, fired.Name)
+		hit[fmt.Sprintf("%v %s", fired.Op, strings.SplitN(fired.Name, "-", 2)[0])] = true
+		if err == nil {
+			t.Fatalf("%s: rotation survived an injected crash", name)
+		}
+
+		for life := 0; life < 2; life++ {
+			d.restart(t)
+			p := d.provider
+			if p.audit.Head() != wantHead {
+				t.Fatalf("%s life %d: audit head diverged", name, life)
+			}
+			if got := p.ledger.History(); fmt.Sprint(got) != fmt.Sprint(wantHistory) {
+				t.Fatalf("%s life %d: History() = %v, want %v", name, life, got, wantHistory)
+			}
+			if got := p.ledger.exportBalances(); fmt.Sprint(got) != fmt.Sprint(wantBalances) {
+				t.Fatalf("%s life %d: balances = %v, want %v", name, life, got, wantBalances)
+			}
+			if life == 1 {
+				// Everything came back through the history file the
+				// previous restart's rotation wrote: its WAL was empty.
+				st := p.Store().Stats()
+				if want := uint64(p.audit.Len() + len(wantHistory)); st.RecoveredHistory != want || st.RecoveredRecords != 0 {
+					t.Fatalf("%s: reopened %d history records and %d WAL groups, want %d and 0",
+						name, st.RecoveredHistory, st.RecoveredRecords, want)
+				}
+			}
+		}
+	}
+	for _, want := range []string{
+		"write hist", "sync hist",
+		"create snap", "write snap", "sync snap", "rename snap",
+		"create wal", "remove snap", "remove wal",
+	} {
+		if !hit[want] {
+			t.Errorf("crash matrix never crashed at %q (hit %v)", want, hit)
+		}
+	}
+}
+
+// TestSnapshotSizeIndependentOfHistory runs N, then 4N, session
+// confirmations, expiring their outcomes on the virtual clock and
+// sweeping them before each rotation. The snapshot payload may grow
+// only by the spent-nonce set; the audit log and ledger history go to
+// the history log, each record exactly once across rotations.
+func TestSnapshotSizeIndependentOfHistory(t *testing.T) {
+	plan := faults.NewCrashPlan(sim.NewRand(6), faults.CrashRates{})
+	d := newDurableRig(t, 0, plan, nil)
+	if err := d.client.SetMode(ModeSession); err != nil {
+		t.Fatal(err)
+	}
+	d.alwaysApprove()
+	const n = 8
+	done := 0
+	rotate := func(upTo int) (payload, spent int) {
+		t.Helper()
+		for ; done < upTo; done++ {
+			outcome, err := d.client.SubmitTransaction(payment(fmt.Sprintf("size-%d", done), "bob", 100))
+			if err != nil || !outcome.Accepted {
+				t.Fatalf("tx %d: %+v, %v", done, outcome, err)
+			}
+		}
+		p := d.provider
+		d.clock.Sleep(p.ttl + time.Minute)
+		p.GC()
+		if err := p.SnapshotNow(); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := p.Store().Stats().HistoryAppends, uint64(p.audit.Len()+len(p.ledger.History())); got != want {
+			t.Fatalf("after %d confirmations the history log was written %d records, want each of %d once",
+				upTo, got, want)
+		}
+		seg, err := p.Store().ReadSegment()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, spentSet, _, _ := p.nonces.Export()
+		return len(seg.State), len(spentSet)
+	}
+	p1, s1 := rotate(n)
+	p4, s4 := rotate(4 * n)
+	if s4-s1 < 3*n {
+		t.Fatalf("spent set grew by %d over %d confirmations", s4-s1, 3*n)
+	}
+	if grow := p4 - p1; grow != (s4-s1)*attest.NonceSize {
+		t.Fatalf("snapshot payload grew %d B (%d → %d) from %d to %d confirmations; the spent-nonce set accounts for %d B",
+			grow, p1, p4, n, 4*n, (s4-s1)*attest.NonceSize)
 	}
 }

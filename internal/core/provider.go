@@ -108,30 +108,54 @@ func (l *Ledger) Apply(tx *Transaction) error {
 	return nil
 }
 
-// exportState returns copies of the balances and history (snapshots).
-func (l *Ledger) exportState() (map[string]int64, []Transaction) {
+// exportBalances returns a copy of the balances (snapshots).
+func (l *Ledger) exportBalances() map[string]int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	balances := make(map[string]int64, len(l.balances))
 	for k, v := range l.balances {
 		balances[k] = v
 	}
-	history := make([]Transaction, len(l.history))
-	copy(history, l.history)
-	return balances, history
+	return balances
 }
 
-// restoreState replaces the ledger's contents (crash recovery). The
-// applied set is rebuilt from the history's transaction IDs.
-func (l *Ledger) restoreState(balances map[string]int64, history []Transaction) {
+// restoreBalances replaces the balances (crash recovery, after the
+// history has been restored).
+func (l *Ledger) restoreBalances(balances map[string]int64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.balances = balances
-	l.history = history
-	l.applied = make(map[string]bool, len(history))
-	for i := range history {
-		l.applied[history[i].ID] = true
+}
+
+// restoreExecuted appends a recovered transaction to the history and
+// the applied set without touching balances: the snapshot that follows
+// the history log already reflects it.
+func (l *Ledger) restoreExecuted(tx Transaction) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.applied[tx.ID] {
+		return fmt.Errorf("%w: %s in restored history", ErrDuplicateTransaction, tx.ID)
 	}
+	l.history = append(l.history, tx)
+	l.applied[tx.ID] = true
+	return nil
+}
+
+// historySince returns a copy of the transactions executed after the
+// first i — what a rotation appends to the history log.
+func (l *Ledger) historySince(i int) []Transaction {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	out := make([]Transaction, len(l.history)-i)
+	copy(out, l.history[i:])
+	return out
+}
+
+// historyLen returns the number of executed transactions.
+func (l *Ledger) historyLen() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.history)
 }
 
 // History returns a copy of the executed transactions.
@@ -379,6 +403,12 @@ type Provider struct {
 	st        *store.Store
 	snapEvery int
 	dead      atomic.Bool
+
+	// histMark counts the audit entries and ledger transactions the
+	// store's history log already holds, so a rotation appends only what
+	// came after. Zero until the first rotation of each store life, which
+	// therefore writes the whole history. Guarded by stateMu.
+	histMark histMark
 
 	// Fleet integration (see internal/fleet). epoch is the fencing
 	// generation this instance serves under; fenced is raised when a

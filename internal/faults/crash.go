@@ -2,6 +2,7 @@ package faults
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 
 	"unitp/internal/sim"
@@ -47,8 +48,9 @@ const (
 	// provider.
 	CrashAfterSync
 
-	// CrashMidSnapshot fires during snapshot rotation (temp-file create,
-	// write, sync, rename, or old-generation removal).
+	// CrashMidSnapshot fires during snapshot rotation (history write or
+	// sync, temp-file create, write, sync, rename, or old-generation
+	// removal).
 	CrashMidSnapshot
 )
 
@@ -85,15 +87,15 @@ func (c CrashPoint) String() string {
 // classify maps a raw backend event to the crash point it realizes, or
 // CrashNone for events outside the model (reads, closes).
 func classify(ev store.CrashEvent) CrashPoint {
-	// Snapshot rotation touches temp files, renames, creates of the new
-	// WAL, and removals of the old generation; any of those is
-	// "mid-snapshot". WAL data-path ops are writes and syncs on the
-	// current wal-*.log.
+	// Snapshot rotation touches the history file, temp files, renames,
+	// creates of the new WAL, and removals of the old generation; any of
+	// those is "mid-snapshot". WAL data-path ops are writes and syncs on
+	// the current wal-*.log.
 	switch ev.Op {
 	case store.OpCreate, store.OpRename, store.OpRemove:
 		return CrashMidSnapshot
 	case store.OpWrite:
-		if isSnapTemp(ev.Name) {
+		if !isWAL(ev.Name) {
 			return CrashMidSnapshot
 		}
 		if ev.Phase == store.PhaseBefore {
@@ -101,7 +103,7 @@ func classify(ev store.CrashEvent) CrashPoint {
 		}
 		return CrashAfterAppend
 	case store.OpSync:
-		if isSnapTemp(ev.Name) {
+		if !isWAL(ev.Name) {
 			return CrashMidSnapshot
 		}
 		if ev.Phase == store.PhaseBefore {
@@ -113,10 +115,11 @@ func classify(ev store.CrashEvent) CrashPoint {
 	}
 }
 
-// isSnapTemp reports whether the file is a snapshot temp file (the only
-// non-WAL file that sees Write/Sync).
-func isSnapTemp(name string) bool {
-	return len(name) > 4 && name[len(name)-4:] == ".tmp"
+// isWAL reports whether the file is a WAL segment; every other file
+// that sees Write/Sync (snapshot temp files, the history file) is
+// written only by a rotation.
+func isWAL(name string) bool {
+	return strings.HasPrefix(name, "wal-")
 }
 
 // CrashRates holds per-point crash probabilities, evaluated when an

@@ -18,7 +18,7 @@ func driveStore(b *store.MemBackend, plan *CrashPlan, appends int) error {
 	}
 	b.SetCrashHook(plan.Hook)
 	defer b.SetCrashHook(nil)
-	if err := s.WriteSnapshot([]byte("seed")); err != nil {
+	if err := s.WriteSnapshot([]byte("seed"), 0, nil); err != nil {
 		return err
 	}
 	for i := 0; i < appends; i++ {
@@ -143,7 +143,7 @@ func TestCrashRecoverCycle(t *testing.T) {
 				t.Fatalf("life %d: record %d = %v, not the appended prefix", life, i, r)
 			}
 		}
-		if err := s.WriteSnapshot([]byte("state")); err != nil {
+		if err := s.WriteSnapshot([]byte("state"), 0, nil); err != nil {
 			t.Fatalf("life %d: rotate: %v", life, err)
 		}
 		attempted = 0

@@ -86,13 +86,14 @@ func TestRingReshardStability(t *testing.T) {
 // ---------------------------------------------------------------------
 
 func TestWireRoundTrips(t *testing.T) {
-	boot := bootstrapFrame{Epoch: 3, UpTo: 17, Gen: 2,
+	boot := bootstrapFrame{Epoch: 3, UpTo: 17, Gen: 2, History: [][]byte{[]byte("h1")},
 		State: []byte("state"), Records: [][]byte{[]byte("r1"), []byte("r2")}}
 	b, a, k, err := decodeRepFrame(encodeBootstrap(boot))
 	if err != nil || a != nil || k != nil || b == nil {
 		t.Fatalf("bootstrap decode: b=%v a=%v k=%v err=%v", b, a, k, err)
 	}
 	if b.Epoch != 3 || b.UpTo != 17 || b.Gen != 2 || string(b.State) != "state" ||
+		len(b.History) != 1 || !bytes.Equal(b.History[0], []byte("h1")) ||
 		len(b.Records) != 2 || !bytes.Equal(b.Records[1], []byte("r2")) {
 		t.Fatalf("bootstrap round trip mangled: %+v", b)
 	}

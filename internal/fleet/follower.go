@@ -102,8 +102,10 @@ func (f *Follower) Handle(req []byte) ([]byte, error) {
 	}
 }
 
-// applyBootstrap (re)seeds the follower's store from a full segment.
-// Called with f.mu held.
+// applyBootstrap (re)seeds the follower's store from a full segment. The
+// reopened store has written no history, so the whole shipped history
+// goes into its first rotation (prior 0), which starts a new history
+// file. Called with f.mu held.
 func (f *Follower) applyBootstrap(boot *bootstrapFrame) ([]byte, error) {
 	if boot.Epoch < f.epoch {
 		return encodeAck(ackFrame{Epoch: f.epoch, Applied: f.applied, Status: ackFenced}), nil
@@ -116,7 +118,7 @@ func (f *Follower) applyBootstrap(boot *bootstrapFrame) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fleet: follower bootstrap: %w", err)
 	}
-	if err := st.WriteSnapshot(boot.State); err != nil {
+	if err := st.WriteSnapshot(boot.State, 0, boot.History); err != nil {
 		return nil, fmt.Errorf("fleet: follower bootstrap: %w", err)
 	}
 	if len(boot.Records) > 0 {

@@ -301,10 +301,7 @@ func (n *Node) wireLocked(prov *core.Provider, upTo uint64, peers []PeerAddr, pe
 	if err != nil {
 		return fmt.Errorf("fleet: node %d/%d: read segment: %w", n.cfg.Shard, n.cfg.Member, err)
 	}
-	boot := encodeBootstrap(bootstrapFrame{
-		Epoch: n.epoch, UpTo: upTo, Gen: seg.Generation,
-		State: seg.State, Records: seg.Records,
-	})
+	boot := encodeSegmentBootstrap(n.epoch, upTo, seg)
 
 	var links []*shipLink
 	for _, p := range peers {
@@ -713,10 +710,7 @@ func (n *Node) Adopt(cmd adoptCmd) error {
 		if err != nil {
 			return fmt.Errorf("fleet: adopt member %d: %w", cmd.Member, err)
 		}
-		boot := encodeBootstrap(bootstrapFrame{
-			Epoch: n.epoch, UpTo: n.rep.frontier(), Gen: seg.Generation,
-			State: seg.State, Records: seg.Records,
-		})
+		boot := encodeSegmentBootstrap(n.epoch, n.rep.frontier(), seg)
 		return n.rep.bootstrap(link.rt, cmd.Member, boot)
 	})
 	if err != nil {

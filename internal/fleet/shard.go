@@ -267,10 +267,7 @@ func (s *Shard) wirePrimaryLocked(prov *core.Provider, upTo uint64) error {
 	if err != nil {
 		return fmt.Errorf("fleet: shard %d: read primary segment: %w", s.cfg.Index, err)
 	}
-	boot := encodeBootstrap(bootstrapFrame{
-		Epoch: s.epoch, UpTo: upTo, Gen: seg.Generation,
-		State: seg.State, Records: seg.Records,
-	})
+	boot := encodeSegmentBootstrap(s.epoch, upTo, seg)
 	for _, f := range s.followers {
 		link := s.newLink(f)
 		if err := rep.bootstrap(link, f.Index(), boot); err != nil {
@@ -482,10 +479,7 @@ func (s *Shard) AddFollower() error {
 		if err != nil {
 			return fmt.Errorf("fleet: shard %d: add follower: %w", s.cfg.Index, err)
 		}
-		boot := encodeBootstrap(bootstrapFrame{
-			Epoch: s.epoch, UpTo: s.rep.frontier(), Gen: seg.Generation,
-			State: seg.State, Records: seg.Records,
-		})
+		boot := encodeSegmentBootstrap(s.epoch, s.rep.frontier(), seg)
 		return s.rep.bootstrap(s.newLink(f), f.Index(), boot)
 	})
 	if err != nil {

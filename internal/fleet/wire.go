@@ -4,20 +4,22 @@ import (
 	"fmt"
 
 	"unitp/internal/cryptoutil"
+	"unitp/internal/store"
 )
 
 // Replication wire format. Three frames flow over a shard's replication
 // links, every one carrying the sender's epoch so a fenced primary is
 // refused at the follower, not trusted at the router:
 //
-//	bootstrap: epoch | upTo | generation | state | records...
+//	bootstrap: epoch | upTo | generation | history... | state | records...
 //	append:    epoch | from | groups...
 //	ack:       epoch | applied | status
 //
 // Offsets count committed WAL groups since the shard's birth — the
 // logical replication stream position, independent of the snapshot
 // rotations either side performs locally. A bootstrap carries one full
-// store segment (snapshot state plus that generation's WAL records) and
+// store segment (the history log prefix the snapshot covers, the
+// snapshot state, and that generation's WAL records) and
 // declares the stream position it represents; appends then extend the
 // stream. Followers apply appends idempotently by offset: a frame
 // overlapping what they already hold is deduplicated, a frame that
@@ -53,8 +55,18 @@ type bootstrapFrame struct {
 	Epoch   uint64
 	UpTo    uint64 // stream offset the segment represents
 	Gen     uint64 // sender's generation, for diagnostics
+	History [][]byte
 	State   []byte
 	Records [][]byte
+}
+
+// encodeSegmentBootstrap encodes the bootstrap frame that seeds a
+// follower with seg at stream offset upTo.
+func encodeSegmentBootstrap(epoch, upTo uint64, seg store.Segment) []byte {
+	return encodeBootstrap(bootstrapFrame{
+		Epoch: epoch, UpTo: upTo, Gen: seg.Generation,
+		History: seg.History, State: seg.State, Records: seg.Records,
+	})
 }
 
 // appendFrame extends the follower's log with committed groups.
@@ -77,12 +89,27 @@ func encodeBootstrap(f bootstrapFrame) []byte {
 	b.PutUint64(f.Epoch)
 	b.PutUint64(f.UpTo)
 	b.PutUint64(f.Gen)
+	putRecords(b, f.History)
 	b.PutBytes(f.State)
-	b.PutUint32(uint32(len(f.Records)))
-	for _, rec := range f.Records {
+	putRecords(b, f.Records)
+	return b.Bytes()
+}
+
+// putRecords writes a count-prefixed list of byte strings.
+func putRecords(b *cryptoutil.Buffer, recs [][]byte) {
+	b.PutUint32(uint32(len(recs)))
+	for _, rec := range recs {
 		b.PutBytes(rec)
 	}
-	return b.Bytes()
+}
+
+// readRecords reads a list written by putRecords.
+func readRecords(r *cryptoutil.Reader) [][]byte {
+	var recs [][]byte
+	for i, n := 0, int(r.Uint32()); i < n && r.Err() == nil; i++ {
+		recs = append(recs, r.Bytes())
+	}
+	return recs
 }
 
 func encodeAppend(f appendFrame) []byte {
@@ -90,10 +117,7 @@ func encodeAppend(f appendFrame) []byte {
 	b.PutUint8(frameAppend)
 	b.PutUint64(f.Epoch)
 	b.PutUint64(f.From)
-	b.PutUint32(uint32(len(f.Groups)))
-	for _, g := range f.Groups {
-		b.PutBytes(g)
-	}
+	putRecords(b, f.Groups)
 	return b.Bytes()
 }
 
@@ -113,27 +137,17 @@ func decodeRepFrame(data []byte) (*bootstrapFrame, *appendFrame, *ackFrame, erro
 	tag := r.Uint8()
 	switch tag {
 	case frameBootstrap:
-		f := &bootstrapFrame{Epoch: r.Uint64(), UpTo: r.Uint64(), Gen: r.Uint64(), State: r.Bytes()}
-		n := int(r.Uint32())
-		if r.Err() != nil {
-			return nil, nil, nil, fmt.Errorf("fleet: bootstrap frame: %w", r.Err())
-		}
-		for i := 0; i < n; i++ {
-			f.Records = append(f.Records, r.Bytes())
-		}
+		f := &bootstrapFrame{Epoch: r.Uint64(), UpTo: r.Uint64(), Gen: r.Uint64()}
+		f.History = readRecords(r)
+		f.State = r.Bytes()
+		f.Records = readRecords(r)
 		if err := r.ExpectEOF(); err != nil {
 			return nil, nil, nil, fmt.Errorf("fleet: bootstrap frame: %w", err)
 		}
 		return f, nil, nil, nil
 	case frameAppend:
 		f := &appendFrame{Epoch: r.Uint64(), From: r.Uint64()}
-		n := int(r.Uint32())
-		if r.Err() != nil {
-			return nil, nil, nil, fmt.Errorf("fleet: append frame: %w", r.Err())
-		}
-		for i := 0; i < n; i++ {
-			f.Groups = append(f.Groups, r.Bytes())
-		}
+		f.Groups = readRecords(r)
 		if err := r.ExpectEOF(); err != nil {
 			return nil, nil, nil, fmt.Errorf("fleet: append frame: %w", err)
 		}

@@ -1,10 +1,14 @@
 // Package store is the provider's durability substrate: a CRC-framed,
 // length-prefixed append-only write-ahead log plus atomic snapshot files
-// (write-temp, fsync, rename), organized into generations so recovery is
-// always "latest valid snapshot + one WAL tail". The package is
-// deliberately generic — it moves opaque byte records and state blobs —
-// so internal/core decides what provider state means and this layer
-// decides only how it survives a crash.
+// (write-temp, fsync, rename), organized into generations, and an
+// append-only history log for state that only grows. Recovery is always
+// "history prefix the latest valid snapshot covers + that snapshot + one
+// WAL tail". A rotation writes the live state in full but only the
+// history records added since the previous rotation, so its cost does
+// not grow with the length of history. The package is deliberately
+// generic — it moves opaque byte records and state blobs — so
+// internal/core decides what provider state and history mean and this
+// layer decides only how they survive a crash.
 //
 // Storage is abstracted behind Backend so the same Store runs over a
 // real directory (DirBackend, used by cmd/tpserver) and over an

@@ -6,8 +6,9 @@ import (
 	"testing"
 )
 
-// dirOps drives one snapshot rotation plus a few appends through a
-// DirBackend and returns the recorded operation sequence.
+// dirOps drives one snapshot rotation, a few appends, and a second
+// rotation carrying history through a DirBackend and returns the
+// recorded operation sequence.
 func dirOps(t *testing.T) []string {
 	t.Helper()
 	b, err := OpenDir(t.TempDir())
@@ -23,7 +24,7 @@ func dirOps(t *testing.T) []string {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if err := st.WriteSnapshot([]byte("gen-1-state")); err != nil {
+	if err := st.WriteSnapshot([]byte("gen-1-state"), 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.AppendAll([][]byte{[]byte("r1"), []byte("r2")}); err != nil {
@@ -32,7 +33,7 @@ func dirOps(t *testing.T) []string {
 	if err := st.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.WriteSnapshot([]byte("gen-2-state")); err != nil {
+	if err := st.WriteSnapshot([]byte("gen-2-state"), 0, [][]byte{[]byte("h1")}); err != nil {
 		t.Fatal(err)
 	}
 	return ops
@@ -79,6 +80,21 @@ func TestDirBackendSyncOrdering(t *testing.T) {
 	if renames < 2 {
 		t.Fatalf("expected both snapshot rotations to rename into place, saw %d renames: %v", renames, ops)
 	}
+
+	// The history a snapshot covers is durable before the snapshot that
+	// records its length exists even as a temp file.
+	histSync, snapCreate := -1, -1
+	for i, op := range ops {
+		switch op {
+		case OpSync.String() + ":" + histName(2):
+			histSync = i
+		case OpCreate.String() + ":" + snapName(2) + tmpSuffix:
+			snapCreate = i
+		}
+	}
+	if histSync < 0 || snapCreate < 0 || histSync > snapCreate {
+		t.Fatalf("history sync at op %d, snapshot temp create at op %d: %v", histSync, snapCreate, ops)
+	}
 }
 
 // The .tmp staging name must never survive: after a rotation the
@@ -95,7 +111,7 @@ func TestDirBackendLeavesNoTmpFiles(t *testing.T) {
 	}
 	defer st.Close()
 	for gen := 0; gen < 3; gen++ {
-		if err := st.WriteSnapshot([]byte(fmt.Sprintf("state-%d", gen))); err != nil {
+		if err := st.WriteSnapshot([]byte(fmt.Sprintf("state-%d", gen)), 0, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -119,7 +135,7 @@ func TestRecoveryAfterCrashOnSnapshotRename(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.WriteSnapshot([]byte("old-state")); err != nil {
+	if err := st.WriteSnapshot([]byte("old-state"), 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.AppendAll([][]byte{[]byte("r1")}); err != nil {
@@ -132,7 +148,7 @@ func TestRecoveryAfterCrashOnSnapshotRename(t *testing.T) {
 	b.SetCrashHook(func(ev CrashEvent) bool {
 		return ev.Op == OpRename && ev.Phase == PhaseAfter
 	})
-	if err := st.WriteSnapshot([]byte("new-state")); err == nil {
+	if err := st.WriteSnapshot([]byte("new-state"), 0, nil); err == nil {
 		t.Fatal("snapshot survived a scheduled crash")
 	}
 	st.Close()
@@ -160,7 +176,7 @@ func TestRecoveryAfterCrashBeforeSnapshotRename(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.WriteSnapshot([]byte("old-state")); err != nil {
+	if err := st.WriteSnapshot([]byte("old-state"), 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.AppendAll([][]byte{[]byte("r1")}); err != nil {
@@ -173,7 +189,7 @@ func TestRecoveryAfterCrashBeforeSnapshotRename(t *testing.T) {
 	b.SetCrashHook(func(ev CrashEvent) bool {
 		return ev.Op == OpRename && ev.Phase == PhaseBefore
 	})
-	if err := st.WriteSnapshot([]byte("new-state")); err == nil {
+	if err := st.WriteSnapshot([]byte("new-state"), 0, nil); err == nil {
 		t.Fatal("snapshot survived a scheduled crash")
 	}
 	st.Close()

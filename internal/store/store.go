@@ -17,8 +17,21 @@ import (
 // A new snapshot is written as "snap-<g>.tmp", synced, and renamed into
 // place before the old generation's files are removed, so at every
 // instant at least one complete (snapshot, WAL) pair is on disk.
-// Recovery scans for the highest-numbered valid snapshot and replays
-// its WAL; stray *.tmp files and stale generations are deleted.
+//
+// History records — the part of the state that only ever grows — live
+// in an append-only "hist-<h>.log", framed like the WAL, where h is the
+// generation whose rotation created the file. Each rotation appends the
+// records added since the previous one and syncs them before the new
+// snapshot, which records the file's covered length, is renamed into
+// place. Bytes past that length are never trusted: a crash mid-rotation
+// can leave a torn or garbage tail there. So the first rotation after an
+// Open does not append to the recovered file; it starts a new one, and
+// the file the previous snapshot named is retired with the old
+// generation.
+//
+// Recovery scans for the highest-numbered valid snapshot, reads the
+// covered prefix of its history file, and replays its WAL; stray *.tmp
+// files, stale generations and unreferenced history files are deleted.
 
 const (
 	snapPrefix = "snap-"
@@ -26,10 +39,12 @@ const (
 	tmpSuffix  = ".tmp"
 	walPrefix  = "wal-"
 	walSuffix  = ".log"
+	histPrefix = "hist-"
 )
 
 func snapName(gen uint64) string { return fmt.Sprintf("%s%016d%s", snapPrefix, gen, snapSuffix) }
 func walName(gen uint64) string  { return fmt.Sprintf("%s%016d%s", walPrefix, gen, walSuffix) }
+func histName(gen uint64) string { return fmt.Sprintf("%s%016d%s", histPrefix, gen, walSuffix) }
 
 // parseGen extracts the generation number from a snapshot or WAL file
 // name, returning ok=false for anything that does not match the scheme.
@@ -50,6 +65,10 @@ func parseGen(name, prefix, suffix string) (uint64, bool) {
 // to anchor the WAL's generation.
 var ErrNoSnapshot = errors.New("store: no snapshot written yet")
 
+// errClosed is returned by WriteSnapshot after Close. A closed store
+// has given up its history file handle; reopen the backend instead.
+var errClosed = errors.New("store: closed")
+
 // Stats counts store activity since Open.
 type Stats struct {
 	// Appends is the number of WAL records appended.
@@ -63,6 +82,13 @@ type Stats struct {
 
 	// Snapshots counts snapshots written (generation rotations).
 	Snapshots uint64
+
+	// HistoryAppends is the number of history records written by
+	// WriteSnapshot; the next WriteSnapshot's prior must equal it.
+	HistoryAppends uint64
+
+	// RecoveredHistory is the number of history records found at Open.
+	RecoveredHistory uint64
 
 	// RecoveredRecords is the number of valid WAL records found at Open.
 	RecoveredRecords uint64
@@ -95,12 +121,20 @@ type Store struct {
 	// feeding the admin plane's last-snapshot-age readiness check.
 	lastSnap time.Time
 
-	// recovered state from Open, consumed by the caller's restore pass.
+	// recovered state from Open, consumed by the caller's restore pass
+	// and dropped by the next WriteSnapshot.
 	snapshot []byte
+	history  [][]byte
 	records  [][]byte
 
 	gen uint64
 	wal File // nil until the first WriteSnapshot
+
+	// hist is the history file the current snapshot covers a prefix of;
+	// histFile is its handle, nil until this Store first writes history.
+	hist     histRef
+	histFile File
+	closed   bool
 }
 
 // SetMetrics attaches a live registry: append/sync/snapshot latency
@@ -122,9 +156,12 @@ func (s *Store) LastSnapshotTime() time.Time {
 }
 
 // Open scans the backend, selects the newest valid snapshot, and loads
-// the valid prefix of its WAL. On a virgin backend Snapshot() returns
-// nil and the caller bootstraps with WriteSnapshot. Stray temp files
-// and stale generations are removed.
+// the history prefix it covers and the valid prefix of its WAL. On a
+// virgin backend Snapshot() returns nil and the caller bootstraps with
+// WriteSnapshot. Stray temp files, stale generations and history files
+// no snapshot covers are removed. A snapshot in an envelope version
+// this build does not read, or one whose covered history is missing or
+// damaged, fails Open rather than being skipped.
 func Open(b Backend) (*Store, error) {
 	names, err := b.List()
 	if err != nil {
@@ -136,6 +173,7 @@ func Open(b Backend) (*Store, error) {
 	// Collect candidate snapshots, newest generation first.
 	var snapGens []uint64
 	walGens := make(map[uint64]bool)
+	histGens := make(map[uint64]bool)
 	for _, name := range names {
 		if strings.HasSuffix(name, tmpSuffix) {
 			// Leftover from a crash mid-snapshot: never valid, delete.
@@ -148,6 +186,8 @@ func Open(b Backend) (*Store, error) {
 			snapGens = append(snapGens, gen)
 		} else if gen, ok := parseGen(name, walPrefix, walSuffix); ok {
 			walGens[gen] = true
+		} else if gen, ok := parseGen(name, histPrefix, walSuffix); ok {
+			histGens[gen] = true
 		}
 	}
 	sort.Slice(snapGens, func(i, j int) bool { return snapGens[i] > snapGens[j] })
@@ -161,19 +201,27 @@ func Open(b Backend) (*Store, error) {
 			}
 			return nil, fmt.Errorf("store: open: %w", err)
 		}
-		fileGen, state, err := decodeSnapshot(data)
+		fileGen, hist, state, err := decodeSnapshot(data)
+		if errors.Is(err, ErrSnapshotVersion) {
+			return nil, fmt.Errorf("store: open %s: %w", snapName(gen), err)
+		}
 		if err != nil || fileGen != gen {
 			s.stats.SkippedSnapshots++
 			continue
 		}
 		s.snapshot = state
 		s.gen = gen
+		s.hist = hist
 		chosen = true
 		break
 	}
 
 	if chosen {
 		s.stats.Generation = s.gen
+		if s.history, err = readHistory(b, s.hist); err != nil {
+			return nil, fmt.Errorf("store: open %s: %w", snapName(s.gen), err)
+		}
+		s.stats.RecoveredHistory = uint64(len(s.history))
 		if walData, err := s.backend.ReadFile(walName(s.gen)); err == nil {
 			scan := scanWAL(walData)
 			s.records = scan.records
@@ -204,8 +252,40 @@ func Open(b Backend) (*Store, error) {
 			return nil, fmt.Errorf("store: open: %w", err)
 		}
 	}
+	for gen := range histGens {
+		if chosen && gen == s.hist.gen {
+			continue
+		}
+		if err := b.Remove(histName(gen)); err != nil {
+			return nil, fmt.Errorf("store: open: %w", err)
+		}
+	}
 
 	return s, nil
+}
+
+// readHistory reads the history prefix ref covers. Everything in it was
+// synced before the snapshot naming it was renamed into place, so a
+// short or damaged prefix is corruption, not a torn write, and is an
+// error; bytes past the prefix are ignored.
+func readHistory(b Backend, ref histRef) ([][]byte, error) {
+	if ref.gen == 0 {
+		return nil, nil
+	}
+	data, err := b.ReadFile(histName(ref.gen))
+	if err != nil {
+		return nil, fmt.Errorf("history: %w", err)
+	}
+	if uint64(len(data)) < ref.n {
+		return nil, fmt.Errorf("history %s holds %d bytes, snapshot covers %d",
+			histName(ref.gen), len(data), ref.n)
+	}
+	scan := scanWAL(data[:ref.n])
+	if uint64(scan.validBytes) != ref.n {
+		return nil, fmt.Errorf("history %s damaged at byte %d of %d covered",
+			histName(ref.gen), scan.validBytes, ref.n)
+	}
+	return scan.records, nil
 }
 
 // Snapshot returns the state blob recovered at Open (nil on a virgin
@@ -214,6 +294,14 @@ func (s *Store) Snapshot() []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.snapshot
+}
+
+// History returns the history records recovered at Open, in append
+// order: everything the recovered snapshot's rotations appended.
+func (s *Store) History() [][]byte {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.history
 }
 
 // Records returns the WAL records recovered at Open, in append order.
@@ -230,24 +318,49 @@ func (s *Store) Generation() uint64 {
 	return s.gen
 }
 
-// WriteSnapshot persists state as a new generation and rotates the WAL:
-// temp-write + sync + rename, then a fresh empty WAL for the new
-// generation, then removal of the previous generation's files. After it
-// returns, state is durable and the WAL is empty.
-func (s *Store) WriteSnapshot(state []byte) error {
+// WriteSnapshot persists state as a new generation and rotates the WAL.
+// history is appended to the history file first and synced; then the
+// snapshot is temp-written, synced and renamed into place, a fresh
+// empty WAL is created for the new generation, and the previous
+// generation's files are removed. After it returns, state and history
+// are durable and the WAL is empty.
+//
+// history holds the records added since this Store's previous
+// WriteSnapshot, and prior counts the records that come before them,
+// which must be exactly the records this Store has written since Open.
+// The first rotation after Open therefore passes prior 0 and the whole
+// history (what History() returned plus everything added since), and
+// starts a new history file rather than appending after a tail this
+// Store did not write. Any other prior is an error and nothing is
+// written, so a caller that lost track of what is durable fails instead
+// of dropping or duplicating history. With no history to write, no
+// history file is touched.
+func (s *Store) WriteSnapshot(state []byte, prior uint64, history [][]byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed {
+		return errClosed
+	}
+	if prior != s.stats.HistoryAppends {
+		return fmt.Errorf("store: snapshot: history delta follows %d records, this store has written %d since Open",
+			prior, s.stats.HistoryAppends)
+	}
 	start := time.Now()
 
 	prevGen, hadPrev := s.gen, s.wal != nil || s.snapshot != nil || s.stats.Snapshots > 0
+	prevHist := s.hist
 	newGen := s.gen + 1
+
+	if err := s.appendHistory(newGen, history); err != nil {
+		return fmt.Errorf("store: snapshot: %w", err)
+	}
 
 	tmp := snapName(newGen) + tmpSuffix
 	f, err := s.backend.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("store: snapshot: %w", err)
 	}
-	if _, err := f.Write(encodeSnapshot(newGen, state)); err != nil {
+	if _, err := f.Write(encodeSnapshot(newGen, s.hist, state)); err != nil {
 		f.Close()
 		return fmt.Errorf("store: snapshot: %w", err)
 	}
@@ -277,13 +390,15 @@ func (s *Store) WriteSnapshot(state []byte) error {
 	s.stats.Snapshots++
 	s.stats.Generation = newGen
 	s.snapshot = nil
+	s.history = nil
 	s.records = nil
 	s.lastSnap = time.Now()
 	s.metrics.Counter("store.snapshots").Inc()
 	s.metrics.Gauge("store.generation").Set(int64(newGen))
 	s.metrics.Observe("store.snapshot_latency", time.Since(start))
 
-	// Retire the previous generation. Failures here would leave stale
+	// Retire the previous generation, and the history file it named if
+	// this rotation started a new one. Failures here would leave stale
 	// files that the next Open cleans up, but under the simulated crash
 	// model a failure means the whole process is dead anyway.
 	if hadPrev {
@@ -294,6 +409,49 @@ func (s *Store) WriteSnapshot(state []byte) error {
 			return fmt.Errorf("store: snapshot: %w", err)
 		}
 	}
+	if prevHist.gen != 0 && prevHist.gen != s.hist.gen {
+		if err := s.backend.Remove(histName(prevHist.gen)); err != nil {
+			return fmt.Errorf("store: snapshot: %w", err)
+		}
+	}
+	return nil
+}
+
+// appendHistory writes and syncs one rotation's history records and
+// advances s.hist to cover them. Until this Store has written history,
+// the records passed since Open are the whole history: the recovered
+// file is dropped from s.hist and a new one is created for generation
+// gen once there is something to write.
+func (s *Store) appendHistory(gen uint64, history [][]byte) error {
+	if s.histFile == nil {
+		s.hist = histRef{}
+	}
+	if len(history) == 0 {
+		return nil
+	}
+	var buf []byte
+	for _, rec := range history {
+		var err error
+		if buf, err = appendFrame(buf, rec); err != nil {
+			return err
+		}
+	}
+	if s.histFile == nil {
+		f, err := s.backend.Create(histName(gen))
+		if err != nil {
+			return err
+		}
+		s.histFile = f
+		s.hist.gen = gen
+	}
+	if _, err := s.histFile.Write(buf); err != nil {
+		return err
+	}
+	if err := s.histFile.Sync(); err != nil {
+		return err
+	}
+	s.hist.n += uint64(len(buf))
+	s.stats.HistoryAppends += uint64(len(history))
 	return nil
 }
 
@@ -369,12 +527,16 @@ func (s *Store) Sync() error {
 }
 
 // Segment is one complete generation read back from the backend: the
-// snapshot state plus every valid WAL record appended after it. It is
-// the unit a replication bootstrap ships to a follower — applying State
-// then Records reproduces exactly the durable state of this store.
+// history the snapshot covers, the snapshot state, and every valid WAL
+// record appended after it. It is the unit a replication bootstrap
+// ships to a follower — applying History, State, then Records
+// reproduces exactly the durable state of this store.
 type Segment struct {
 	// Generation is the segment's generation number.
 	Generation uint64
+
+	// History is the history prefix the snapshot covers, in append order.
+	History [][]byte
 
 	// State is the snapshot payload the generation started from.
 	State []byte
@@ -383,11 +545,11 @@ type Segment struct {
 	Records [][]byte
 }
 
-// ReadSegment re-reads the current generation's snapshot and the valid
-// prefix of its WAL from the backend. Call it quiesced (no append/sync
-// in flight) — typically right after Open+WriteSnapshot or with the
-// owning provider's committer idle — so the WAL read is a consistent
-// prefix of committed groups.
+// ReadSegment re-reads the current generation's snapshot, its history
+// prefix, and the valid prefix of its WAL from the backend. Call it
+// quiesced (no append/sync in flight) — typically right after
+// Open+WriteSnapshot or with the owning provider's committer idle — so
+// the WAL read is a consistent prefix of committed groups.
 func (s *Store) ReadSegment() (Segment, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -398,14 +560,18 @@ func (s *Store) ReadSegment() (Segment, error) {
 	if err != nil {
 		return Segment{}, fmt.Errorf("store: read segment: %w", err)
 	}
-	gen, state, err := decodeSnapshot(data)
+	gen, hist, state, err := decodeSnapshot(data)
 	if err != nil {
 		return Segment{}, fmt.Errorf("store: read segment: %w", err)
 	}
 	if gen != s.gen {
 		return Segment{}, fmt.Errorf("store: read segment: snapshot generation %d, store at %d", gen, s.gen)
 	}
-	seg := Segment{Generation: s.gen, State: state}
+	history, err := readHistory(s.backend, hist)
+	if err != nil {
+		return Segment{}, fmt.Errorf("store: read segment: %w", err)
+	}
+	seg := Segment{Generation: s.gen, History: history, State: state}
 	walData, err := s.backend.ReadFile(walName(s.gen))
 	if err == nil {
 		seg.Records = scanWAL(walData).records
@@ -422,15 +588,22 @@ func (s *Store) Stats() Stats {
 	return s.stats
 }
 
-// Close releases the WAL handle without syncing. Call Sync first for a
-// clean shutdown.
+// Close releases the WAL and history handles without syncing. Call
+// Sync first for a clean shutdown.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.wal == nil {
-		return nil
+	s.closed = true
+	var err error
+	if s.histFile != nil {
+		err = s.histFile.Close()
+		s.histFile = nil
 	}
-	err := s.wal.Close()
-	s.wal = nil
+	if s.wal != nil {
+		if werr := s.wal.Close(); err == nil {
+			err = werr
+		}
+		s.wal = nil
+	}
 	return err
 }

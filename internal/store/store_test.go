@@ -2,8 +2,12 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -17,7 +21,7 @@ func openFresh(t *testing.T, b Backend, state []byte) *Store {
 	if s.Snapshot() != nil {
 		t.Fatalf("virgin backend returned a snapshot")
 	}
-	if err := s.WriteSnapshot(state); err != nil {
+	if err := s.WriteSnapshot(state, 0, nil); err != nil {
 		t.Fatalf("WriteSnapshot: %v", err)
 	}
 	return s
@@ -162,15 +166,21 @@ func TestWALBitFlips(t *testing.T) {
 // TestSnapshotBitFlips flips every bit of an encoded snapshot and
 // requires decode to reject every mutation.
 func TestSnapshotBitFlips(t *testing.T) {
-	enc := encodeSnapshot(7, []byte("provider-state-blob"))
-	if _, _, err := decodeSnapshot(enc); err != nil {
+	enc := encodeSnapshot(7, histRef{gen: 3, n: 40}, []byte("provider-state-blob"))
+	if _, _, _, err := decodeSnapshot(enc); err != nil {
 		t.Fatalf("clean decode: %v", err)
 	}
 	for bit := 0; bit < len(enc)*8; bit++ {
 		mut := append([]byte(nil), enc...)
 		mut[bit/8] ^= 1 << (bit % 8)
-		if _, _, err := decodeSnapshot(mut); err == nil {
+		_, _, _, err := decodeSnapshot(mut)
+		if err == nil {
 			t.Fatalf("bit %d: tampered snapshot accepted", bit)
+		}
+		// Damage must read as damage (Open falls back past it), never as
+		// another envelope version (Open refuses those).
+		if errors.Is(err, ErrSnapshotVersion) {
+			t.Fatalf("bit %d: tampered snapshot reported as %v", bit, err)
 		}
 	}
 }
@@ -187,7 +197,7 @@ func TestSnapshotRotation(t *testing.T) {
 		if err := s.Sync(); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.WriteSnapshot([]byte(fmt.Sprintf("gen-%d", i))); err != nil {
+		if err := s.WriteSnapshot([]byte(fmt.Sprintf("gen-%d", i)), 0, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -238,7 +248,7 @@ func TestCrashMidSnapshot(t *testing.T) {
 			}
 			return false
 		})
-		err := s.WriteSnapshot([]byte("new"))
+		err := s.WriteSnapshot([]byte("new"), 0, nil)
 		b.SetCrashHook(nil)
 		if !fired {
 			if err != nil {
@@ -349,7 +359,7 @@ func TestCorruptSnapshotFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc := encodeSnapshot(9, []byte("evil"))
+	enc := encodeSnapshot(9, histRef{}, []byte("evil"))
 	enc[len(enc)-1] ^= 0xFF
 	if _, err := f.Write(enc); err != nil {
 		t.Fatal(err)
@@ -416,5 +426,377 @@ func TestDirBackendRoundTrip(t *testing.T) {
 	}
 	if len(r.Records()) != 10 {
 		t.Fatalf("recovered %d records, want 10", len(r.Records()))
+	}
+}
+
+// histRecs builds the history records prefix-from .. prefix-(to-1).
+func histRecs(prefix string, from, to int) [][]byte {
+	var out [][]byte
+	for i := from; i < to; i++ {
+		out = append(out, []byte(fmt.Sprintf("%s-%d", prefix, i)))
+	}
+	return out
+}
+
+// equalRecords reports whether two record lists are byte-identical.
+func equalRecords(a, b [][]byte) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !bytes.Equal(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestHistoryLogAcrossRotations checks each rotation appends only its
+// delta, Open recovers the covered history, the first rotation after
+// Open starts a new history file and retires the old one, and
+// ReadSegment carries the history.
+func TestHistoryLogAcrossRotations(t *testing.T) {
+	b := NewMemBackend()
+	s := openFresh(t, b, []byte("s1"))
+	if err := s.WriteSnapshot([]byte("s2"), 0, histRecs("h", 0, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WriteSnapshot([]byte("s3"), 3, histRecs("h", 3, 5)); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Stats().HistoryAppends; got != 5 {
+		t.Fatalf("HistoryAppends = %d, want 5 (each record written once)", got)
+	}
+	seg, err := s.ReadSegment()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !equalRecords(seg.History, histRecs("h", 0, 5)) || string(seg.State) != "s3" {
+		t.Fatalf("segment history %q state %q", seg.History, seg.State)
+	}
+	s.Close()
+
+	r, err := Open(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !equalRecords(r.History(), histRecs("h", 0, 5)) {
+		t.Fatalf("recovered history %q", r.History())
+	}
+	if err := r.WriteSnapshot([]byte("s4"), 0, histRecs("h", 0, 6)); err != nil {
+		t.Fatal(err)
+	}
+	if r.History() != nil {
+		t.Fatal("store kept the recovered history after rotating")
+	}
+	names, _ := b.List()
+	var hists []string
+	for _, n := range names {
+		if strings.HasPrefix(n, histPrefix) {
+			hists = append(hists, n)
+		}
+	}
+	if len(hists) != 1 || hists[0] != histName(r.Generation()) {
+		t.Fatalf("history files after the first rotation since Open = %v, want only %s",
+			hists, histName(r.Generation()))
+	}
+	r.Close()
+	r2, err := Open(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !equalRecords(r2.History(), histRecs("h", 0, 6)) {
+		t.Fatalf("history after re-rotation %q", r2.History())
+	}
+
+	// Prior 0 with no records declares the whole history empty: a
+	// follower re-seeded from a lineage with none must not keep the old
+	// file.
+	if err := r2.WriteSnapshot([]byte("reseeded"), 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	r2.Close()
+	r3, err := Open(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r3.History() != nil {
+		t.Fatalf("history after an empty first rotation %q, want none", r3.History())
+	}
+	names, _ = b.List()
+	for _, n := range names {
+		if strings.HasPrefix(n, histPrefix) {
+			t.Fatalf("history file %s survived a rotation that replaced the history with none", n)
+		}
+	}
+}
+
+// backendFiles returns every file of b with its durable contents.
+func backendFiles(t *testing.T, b *MemBackend) map[string]string {
+	t.Helper()
+	names, err := b.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string]string{}
+	for _, n := range names {
+		data, err := b.ReadFile(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[n] = string(data)
+	}
+	return files
+}
+
+// TestWriteSnapshotChecksPrior checks a history delta whose prior count
+// is not what the store has written since Open is refused before
+// anything is written: whether the caller skipped records, repeated
+// them, or took a freshly opened store for one it had been appending to.
+func TestWriteSnapshotChecksPrior(t *testing.T) {
+	b := NewMemBackend()
+	s := openFresh(t, b, nil)
+	if err := s.WriteSnapshot([]byte("s"), 0, histRecs("h", 0, 3)); err != nil {
+		t.Fatal(err)
+	}
+	before := backendFiles(t, b)
+	for _, prior := range []uint64{0, 2, 4} {
+		if err := s.WriteSnapshot([]byte("bad"), prior, histRecs("h", 3, 4)); err == nil {
+			t.Fatalf("prior %d accepted, store has written 3", prior)
+		}
+	}
+	if got := backendFiles(t, b); !reflect.DeepEqual(got, before) {
+		t.Fatalf("a refused WriteSnapshot changed the backend:\n%v\nwant\n%v", got, before)
+	}
+	if err := s.WriteSnapshot([]byte("s2"), 3, histRecs("h", 3, 4)); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+
+	r, err := Open(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before = backendFiles(t, b)
+	if err := r.WriteSnapshot([]byte("bad"), 4, histRecs("h", 4, 5)); err == nil {
+		t.Fatal("a reopened store accepted a delta appended after its recovered history")
+	}
+	if got := backendFiles(t, b); !reflect.DeepEqual(got, before) {
+		t.Fatal("a refused WriteSnapshot after Open changed the backend")
+	}
+	if !equalRecords(r.History(), histRecs("h", 0, 4)) {
+		t.Fatalf("recovered history %q after a refused rotation", r.History())
+	}
+}
+
+// TestWriteSnapshotAfterClose checks a closed store refuses to rotate
+// and leaves its history file as it was, rather than starting a new one
+// that holds only the delta.
+func TestWriteSnapshotAfterClose(t *testing.T) {
+	b := NewMemBackend()
+	s := openFresh(t, b, nil)
+	if err := s.WriteSnapshot([]byte("s"), 0, histRecs("h", 0, 3)); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	before := backendFiles(t, b)
+	if err := s.WriteSnapshot([]byte("late"), 3, histRecs("h", 3, 4)); !errors.Is(err, errClosed) {
+		t.Fatalf("WriteSnapshot after Close = %v, want errClosed", err)
+	}
+	if got := backendFiles(t, b); !reflect.DeepEqual(got, before) {
+		t.Fatal("WriteSnapshot after Close changed the backend")
+	}
+	r, err := Open(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !equalRecords(r.History(), histRecs("h", 0, 3)) || string(r.Snapshot()) != "s" {
+		t.Fatalf("after a refused late rotation: snapshot %q history %q", r.Snapshot(), r.History())
+	}
+}
+
+// TestCrashMidRotationWithHistory crashes at every backend operation of
+// a rotation that has history to write — history create (first rotation
+// since Open), write and sync, snapshot create, write, sync and rename,
+// WAL create, and removal of the old generation — and recovers under
+// three tears of the unsynced bytes: lost, kept whole, and kept with
+// garbage after them. Recovery must land on the old generation with its
+// history and WAL record, or on the new one with the full history, and
+// never read history past the length the snapshot records. The next
+// rotation after the restart must leave a history file Open reads back
+// whole.
+func TestCrashMidRotationWithHistory(t *testing.T) {
+	tears := map[string]func(string, []byte) []byte{
+		"lost": nil,
+		"whole": func(_ string, p []byte) []byte {
+			return p
+		},
+		"garbage": func(_ string, p []byte) []byte {
+			return append(p[:len(p)/2:len(p)/2], 0xDE, 0xAD, 0xBE, 0xEF, 0x00, 0x00, 0x01)
+		},
+	}
+	hit := map[string]bool{}
+	for _, fresh := range []bool{false, true} {
+		for tearName, tear := range tears {
+			for crashAt := 0; ; crashAt++ {
+				b := NewMemBackend()
+				s := openFresh(t, b, []byte("old"))
+				if err := s.WriteSnapshot([]byte("old"), 0, histRecs("h", 0, 2)); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Append([]byte("r1")); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Sync(); err != nil {
+					t.Fatal(err)
+				}
+				if fresh {
+					// Reopen, so the rotation under test is the first since
+					// Open: it starts a new history file with everything.
+					s.Close()
+					var err error
+					if s, err = Open(b); err != nil {
+						t.Fatal(err)
+					}
+				}
+				prior, delta := uint64(2), histRecs("h", 2, 4)
+				if fresh {
+					prior, delta = 0, histRecs("h", 0, 4)
+				}
+
+				n := 0
+				var fired CrashEvent
+				b.SetCrashHook(func(ev CrashEvent) bool {
+					n++
+					if n-1 == crashAt {
+						fired = ev
+						return true
+					}
+					return false
+				})
+				err := s.WriteSnapshot([]byte("new"), prior, delta)
+				b.SetCrashHook(nil)
+				if fired.Op == 0 {
+					if err != nil {
+						t.Fatalf("crashAt=%d: unexpected error %v", crashAt, err)
+					}
+					break
+				}
+				name := fmt.Sprintf("fresh=%v/%s/crashAt=%d (%v %v %s)", fresh, tearName, crashAt, fired.Phase, fired.Op, fired.Name)
+				hit[fmt.Sprintf("%v %s", fired.Op, strings.SplitN(fired.Name, "-", 2)[0])] = true
+				if err == nil {
+					t.Fatalf("%s: WriteSnapshot survived an injected crash", name)
+				}
+
+				b.Recover(tear)
+				r, err := Open(b)
+				if err != nil {
+					t.Fatalf("%s: reopen: %v", name, err)
+				}
+				var wantHist, wantRecs [][]byte
+				switch string(r.Snapshot()) {
+				case "old":
+					wantHist, wantRecs = histRecs("h", 0, 2), [][]byte{[]byte("r1")}
+				case "new":
+					wantHist = histRecs("h", 0, 4)
+				default:
+					t.Fatalf("%s: recovered snapshot %q", name, r.Snapshot())
+				}
+				if !equalRecords(r.History(), wantHist) || !equalRecords(r.Records(), wantRecs) {
+					t.Fatalf("%s: snapshot %q recovered history %q records %q",
+						name, r.Snapshot(), r.History(), r.Records())
+				}
+
+				// The restart's rotation writes the whole history into a new
+				// file; reopening must read exactly that back.
+				full := append(r.History(), []byte("after-restart"))
+				if err := r.WriteSnapshot([]byte("restarted"), 0, full); err != nil {
+					t.Fatalf("%s: rotation after restart: %v", name, err)
+				}
+				r.Close()
+				r2, err := Open(b)
+				if err != nil {
+					t.Fatalf("%s: reopen after restart rotation: %v", name, err)
+				}
+				if !equalRecords(r2.History(), full) {
+					t.Fatalf("%s: history after restart rotation %q, want %q", name, r2.History(), full)
+				}
+			}
+		}
+	}
+	for _, want := range []string{
+		"create hist", "write hist", "sync hist",
+		"create snap", "write snap", "sync snap", "rename snap",
+		"create wal", "remove snap", "remove wal", "remove hist",
+	} {
+		if !hit[want] {
+			t.Errorf("crash matrix never crashed at %q (hit %v)", want, hit)
+		}
+	}
+}
+
+// TestOpenRefusesDamagedHistory checks Open fails loudly when the
+// history prefix a snapshot covers is missing or damaged, instead of
+// restoring state without the history it builds on.
+func TestOpenRefusesDamagedHistory(t *testing.T) {
+	b := NewMemBackend()
+	s := openFresh(t, b, nil)
+	if err := s.WriteSnapshot([]byte("s"), 0, histRecs("h", 0, 3)); err != nil {
+		t.Fatal(err)
+	}
+	hist := histName(s.Generation())
+	s.Close()
+	data, err := b.ReadFile(hist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-1] ^= 0xFF
+	f, err := b.Create(hist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(data); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(b); err == nil {
+		t.Fatal("Open accepted a snapshot whose covered history is damaged")
+	}
+	if err := b.Remove(hist); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(b); err == nil {
+		t.Fatal("Open accepted a snapshot whose history file is missing")
+	}
+}
+
+// TestOpenRefusesOtherSnapshotVersion checks an intact snapshot in an
+// envelope version this build does not read fails Open, rather than
+// being skipped (and then deleted) like a damaged one.
+func TestOpenRefusesOtherSnapshotVersion(t *testing.T) {
+	b := NewMemBackend()
+	s := openFresh(t, b, []byte("state"))
+	s.Close()
+	enc := encodeSnapshot(1, histRef{}, []byte("state"))
+	enc[4] = 1
+	body := enc[:len(enc)-4]
+	enc = binary.BigEndian.AppendUint32(body, crc32.Checksum(body, castagnoli))
+	f, err := b.Create(snapName(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(enc); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(b); !errors.Is(err, ErrSnapshotVersion) {
+		t.Fatalf("Open over a version-1 snapshot: %v, want ErrSnapshotVersion", err)
+	}
+	if _, err := b.ReadFile(snapName(1)); err != nil {
+		t.Fatalf("refused snapshot was removed: %v", err)
 	}
 }

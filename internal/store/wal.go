@@ -7,7 +7,8 @@ import (
 	"hash/crc32"
 )
 
-// WAL frame layout: every record is framed as
+// WAL frame layout (the history log uses the same framing): every
+// record is framed as
 //
 //	u32 length | u32 CRC-32C(payload) | payload
 //
@@ -91,51 +92,72 @@ func scanWAL(data []byte) walScan {
 }
 
 // Snapshot envelope: u32 magic | u8 version | u64 generation |
-// u32 length | payload | u32 CRC-32C(everything before the CRC).
+// u64 history generation | u64 history length | u32 length | payload |
+// u32 CRC-32C(everything before the CRC).
 // A snapshot is either wholly valid or ignored; there is no partial
 // acceptance, because the atomic temp-write/fsync/rename protocol means
 // a visible *.snap file should always be complete — the CRC catches the
-// cases where it is not (bit rot, injected garbage).
+// cases where it is not (bit rot, injected garbage). The history fields
+// name the history file the snapshot builds on and the length of its
+// prefix that was synced before the snapshot was renamed into place;
+// generation 0 means no history has been written.
 
 const (
 	snapshotMagic   = 0x55545053 // "UTPS"
-	snapshotVersion = 1
-	snapshotHdrLen  = 4 + 1 + 8 + 4
+	snapshotVersion = 2
+	snapshotHdrLen  = 4 + 1 + 8 + 8 + 8 + 4
 )
 
+// ErrSnapshotVersion is returned by Open when the newest snapshot was
+// written in an envelope version this build does not read. Open refuses
+// rather than skipping it, because skipping would retire the data.
+var ErrSnapshotVersion = errors.New("store: unsupported snapshot envelope version")
+
+// histRef locates the durable history a snapshot covers: the prefix of
+// length n of the history file of generation gen.
+type histRef struct {
+	gen uint64
+	n   uint64
+}
+
 // encodeSnapshot wraps state in the snapshot envelope.
-func encodeSnapshot(gen uint64, state []byte) []byte {
+func encodeSnapshot(gen uint64, hist histRef, state []byte) []byte {
 	buf := make([]byte, 0, snapshotHdrLen+len(state)+4)
 	buf = binary.BigEndian.AppendUint32(buf, snapshotMagic)
 	buf = append(buf, snapshotVersion)
 	buf = binary.BigEndian.AppendUint64(buf, gen)
+	buf = binary.BigEndian.AppendUint64(buf, hist.gen)
+	buf = binary.BigEndian.AppendUint64(buf, hist.n)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(state)))
 	buf = append(buf, state...)
 	return binary.BigEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
 }
 
-// decodeSnapshot validates an envelope and returns (generation, state).
-func decodeSnapshot(data []byte) (uint64, []byte, error) {
-	if len(data) < snapshotHdrLen+4 {
-		return 0, nil, fmt.Errorf("store: snapshot too short (%d bytes)", len(data))
+// decodeSnapshot validates an envelope and returns (generation,
+// history reference, state). The CRC is checked before the version, so
+// a damaged file is reported as damaged and only an intact envelope of
+// another version yields ErrSnapshotVersion.
+func decodeSnapshot(data []byte) (uint64, histRef, []byte, error) {
+	if len(data) < 5+4 || binary.BigEndian.Uint32(data[0:4]) != snapshotMagic {
+		return 0, histRef{}, nil, errors.New("store: snapshot magic mismatch")
 	}
-	if binary.BigEndian.Uint32(data[0:4]) != snapshotMagic {
-		return 0, nil, errors.New("store: snapshot magic mismatch")
+	body := data[:len(data)-4]
+	if crc32.Checksum(body, castagnoli) != binary.BigEndian.Uint32(data[len(body):]) {
+		return 0, histRef{}, nil, errors.New("store: snapshot CRC mismatch")
 	}
 	if data[4] != snapshotVersion {
-		return 0, nil, fmt.Errorf("store: unsupported snapshot version %d", data[4])
+		return 0, histRef{}, nil, fmt.Errorf("%w %d (this build reads %d)", ErrSnapshotVersion, data[4], snapshotVersion)
+	}
+	if len(body) < snapshotHdrLen {
+		return 0, histRef{}, nil, fmt.Errorf("store: snapshot too short (%d bytes)", len(data))
 	}
 	gen := binary.BigEndian.Uint64(data[5:13])
-	n := int(binary.BigEndian.Uint32(data[13:17]))
-	if len(data) != snapshotHdrLen+n+4 {
-		return 0, nil, fmt.Errorf("store: snapshot length mismatch (%d payload, %d total)", n, len(data))
-	}
-	body := data[:snapshotHdrLen+n]
-	want := binary.BigEndian.Uint32(data[snapshotHdrLen+n:])
-	if crc32.Checksum(body, castagnoli) != want {
-		return 0, nil, errors.New("store: snapshot CRC mismatch")
+	hist := histRef{gen: binary.BigEndian.Uint64(data[13:21]), n: binary.BigEndian.Uint64(data[21:29])}
+	n := int(binary.BigEndian.Uint32(data[29:33]))
+	if len(body) != snapshotHdrLen+n {
+		return 0, histRef{}, nil, fmt.Errorf("store: snapshot length mismatch (%d payload, %d total)", n, len(data))
 	}
 	state := make([]byte, n)
-	copy(state, data[snapshotHdrLen:snapshotHdrLen+n])
-	return gen, state, nil
+	copy(state, body[snapshotHdrLen:])
+	return gen, hist, state, nil
 }
